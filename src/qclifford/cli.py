@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import decomp, reps, wick
 from .clifford import clifford_product
-from .errors import ComputationError, InputError, ParseError
+from .errors import ComputationError, InputError
 from .exterior import Multivector, wedge
 from .forms import DEFAULT_MAX_DIM, FormContext, split_form
 from .reps import CarContext, build_car
@@ -297,10 +297,10 @@ def cmd_u2(loaded, args):
     return out, text
 
 
-def _sweep_contexts(loaded, args, value):
+def _sweep_contexts(loaded, entry, value, max_dim):
     """Rebuild the algebra with one entry replaced by the sweep value."""
     data = json.loads(json.dumps(loaded.raw))
-    i, j = args.entry
+    i, j = entry
     if loaded.car is not None:
         block = data["car"]
         n2 = 2 * block["n"]
@@ -315,7 +315,7 @@ def _sweep_contexts(loaded, args, value):
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise InputError(f"sweep entry must lie within 1..{dim}")
         data["B"][i - 1][j - 1] = str(value)
-    return load_spec_data(data, path=loaded.path, max_dim=args.max_dim)
+    return load_spec_data(data, path=loaded.path, max_dim=max_dim)
 
 
 def cmd_sweep(loaded, args):
@@ -323,7 +323,6 @@ def cmd_sweep(loaded, args):
         i, j = (int(part) for part in args.entry.split(","))
     except ValueError as exc:
         raise InputError("--entry expects \"i,j\"") from exc
-    args.entry = (i, j)
     try:
         values = [parse_rational(part.strip()) for part in args.values.split(",")]
     except ValueError as exc:
@@ -334,23 +333,24 @@ def cmd_sweep(loaded, args):
         "corner": cmd_corner,
         "split": cmd_split,
     }[args.run]
+    run_args = argparse.Namespace(**vars(args))
     if args.run in ("ideal", "corner", "split"):
         if not args.element:
             raise InputError(f"--run {args.run} needs --element")
-        args.f = args.element
+        run_args.f = args.element
     rows = []
     lines = []
     for value in values:
-        swept = _sweep_contexts(loaded, args, value)
+        swept = _sweep_contexts(loaded, (i, j), value, args.max_dim)
         try:
-            out, _ = handler(swept, args)
+            out, _ = handler(swept, run_args)
             summary = _sweep_summary(args.run, out)
         except ComputationError as exc:
             out = {"error": str(exc)}
             summary = f"error: {exc}"
         rows.append({"value": str(value), "result": out})
-        lines.append(f"{args.entry[0]},{args.entry[1]} = {value}: {summary}")
-    return {"entry": list(args.entry), "run": args.run, "rows": rows}, "\n".join(lines)
+        lines.append(f"{i},{j} = {value}: {summary}")
+    return {"entry": [i, j], "run": args.run, "rows": rows}, "\n".join(lines)
 
 
 def _sweep_summary(run, out):

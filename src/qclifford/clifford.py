@@ -1,9 +1,13 @@
 """The Clifford product of Cl(B,V) on the wedge-basis carrier space.
 
-Products are computed Chevalley-style: the left factor is rewritten in the
-Clifford-monomial basis (cached per context, unitriangular against the wedge
-basis), and each monomial acts on the right factor as a composition of
-generator operators L_i = e_i⌋B + e_i∧ .
+Products are computed Chevalley-style, from the generator operators
+L_i = e_i⌋B + e_i∧ acting on ∧V, one blade pair at a time. With i the
+lowest index of I and I' = I∖{i}, e_i∧e_I' = e_i·e_I' − e_i⌋B e_I' gives
+
+    e_I·e_J = L_i(e_I'·e_J) − Σ_{j∈I'} (−1)^{pos(j)} B_ij · e_{I'∖j}·e_J,
+
+where pos(j) counts the indices of I' below j. Every pair, and every
+smaller pair the recursion reaches, is kept in the context's pair cache.
 """
 
 from __future__ import annotations
@@ -14,7 +18,16 @@ from typing import Optional
 
 from . import linalg
 from .errors import ComputationError, ShapeError
-from .exterior import Multivector, blade_grade, blade_indices, contract_left, wedge
+from .exterior import Multivector, UnitriangularBasis, _vector_contract, add_scaled
+
+
+def _apply_generator(i: int, terms: dict, B) -> dict:
+    """L_i on a term dict, as a fresh dict."""
+    low = 1 << (i - 1)
+    below = low - 1
+    wedged = {bits | low: -c if (bits & below).bit_count() & 1 else c
+              for bits, c in terms.items() if not bits & low}
+    return add_scaled(_vector_contract(i, terms, B), wedged)
 
 
 def clifford_apply_generator(i: int, u: Multivector) -> Multivector:
@@ -22,113 +35,55 @@ def clifford_apply_generator(i: int, u: Multivector) -> Multivector:
     ctx = u.ctx
     if not 1 <= i <= ctx.dim:
         raise ShapeError(f"generator index {i} out of range 1..{ctx.dim}")
-    e = ctx.e(i)
-    return contract_left(e, u, form="B") + wedge(e, u)
+    return Multivector(ctx, _apply_generator(i, u.terms, ctx.B))
 
 
-def _apply_monomial(bits: int, v: Multivector) -> Multivector:
-    """Act with e_{i1}·…·e_{ik} (ascending indices): innermost factor first."""
-    for i in reversed(blade_indices(bits)):
-        v = clifford_apply_generator(i, v)
-        if v.is_zero():
-            break
-    return v
-
-
-class MonomialTable:
+class MonomialTable(UnitriangularBasis):
     """Per-context conversion between the wedge basis and the basis of
-    Clifford monomials with ascending index sets.
+    Clifford monomials e_{i1}·…·e_{ik} with ascending index sets.
 
     Both directions are unitriangular in the grade filtration: the grade-k
     monomial equals the grade-k blade plus strictly lower-grade terms.
     """
 
     def __init__(self, ctx):
-        self.ctx = ctx
-        order = sorted(ctx.basis_blades(), key=lambda b: (blade_grade(b), b))
-        to_wedge = {0: ctx.one()}
-        for bits in order:
-            if bits == 0:
-                continue
-            low = bits & -bits
-            rest = bits ^ low
-            to_wedge[bits] = clifford_apply_generator(low.bit_length(), to_wedge[rest])
-        self.to_wedge = to_wedge
+        super().__init__(ctx, clifford_apply_generator)
 
-        from_wedge: dict[int, dict[int, object]] = {}
-        for bits in order:
-            expansion = {bits: Fraction(1)}
-            for b, c in to_wedge[bits].terms.items():
-                if b == bits:
-                    if c != 1:
-                        raise ComputationError(
-                            "internal: monomial table is not unitriangular"
-                        )
-                    continue
-                if blade_grade(b) >= blade_grade(bits):
-                    raise ComputationError(
-                        "internal: monomial table is not unitriangular"
-                    )
-                for k, ck in from_wedge[b].items():
-                    new = expansion.get(k, Fraction(0)) - c * ck
-                    if new == 0:
-                        expansion.pop(k, None)
-                    else:
-                        expansion[k] = new
-            from_wedge[bits] = expansion
-        self.from_wedge = from_wedge
-
-    def to_monomial_coords(self, u: Multivector) -> dict:
-        coords = {}
-        for bits, coeff in u.terms.items():
-            for k, ck in self.from_wedge[bits].items():
-                new = coords.get(k, Fraction(0)) + coeff * ck
-                if new == 0:
-                    coords.pop(k, None)
-                else:
-                    coords[k] = new
-        return coords
-
-    def from_monomial_coords(self, coords: dict) -> Multivector:
-        acc = self.ctx.zero()
-        for bits, coeff in coords.items():
-            acc = acc + self.to_wedge[bits].scale(coeff)
-        return acc
+    to_monomial_coords = UnitriangularBasis.to_coords
+    from_monomial_coords = UnitriangularBasis.from_coords
 
 
 def monomial_table(ctx) -> MonomialTable:
-    if ctx._monomial_table is None:
-        ctx._monomial_table = MonomialTable(ctx)
-    return ctx._monomial_table
+    return ctx.cached("monomial_table", lambda: MonomialTable(ctx))
 
 
-def _pair_product(ctx, left_bits: int, right_bits: int) -> Multivector:
-    cached = ctx._pair_products.get((left_bits, right_bits))
-    if cached is not None:
-        return cached
-    table = monomial_table(ctx)
-    v = ctx.blade(right_bits)
-    acc = ctx.zero()
-    for mono_bits, coeff in table.from_wedge[left_bits].items():
-        acc = acc + _apply_monomial(mono_bits, v).scale(coeff)
-    ctx._pair_products[(left_bits, right_bits)] = acc
-    return acc
+def _pair_product(pairs: dict, B, left: int, right: int) -> dict:
+    """Terms of e_left·e_right by the recursion above; read-only once cached."""
+    key = (left, right)
+    terms = pairs.get(key)
+    if terms is None:
+        if left == 0:
+            terms = {right: Fraction(1)}
+        else:
+            low = left & -left
+            rest = left ^ low
+            i = low.bit_length()
+            terms = _apply_generator(i, _pair_product(pairs, B, rest, right), B)
+            for bits, c in _vector_contract(i, {rest: Fraction(1)}, B).items():
+                add_scaled(terms, _pair_product(pairs, B, bits, right), -c)
+        pairs[key] = terms
+    return terms
 
 
 def clifford_product(u: Multivector, v: Multivector) -> Multivector:
     """Associative unital product with x·x = Q(x)·1 for every vector x."""
     u.ctx.require_compatible(v.ctx)
     ctx = u.ctx
+    pairs = ctx.cached("pairs", dict)
     acc = {}
     for bu, cu in u.terms.items():
         for bv, cv in v.terms.items():
-            factor = cu * cv
-            for bits, c in _pair_product(ctx, bu, bv).terms.items():
-                new = acc.get(bits, Fraction(0)) + factor * c
-                if new == 0:
-                    acc.pop(bits, None)
-                else:
-                    acc[bits] = new
+            add_scaled(acc, _pair_product(pairs, ctx.B, bu, bv), cu * cv)
     return Multivector(ctx, acc)
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 from .clifford import RelationReport, monomial_table, verify_generator_relations
 from .errors import ComputationError, InputError
 from .exterior import Multivector, blade_indices, wedge
-from .forms import FormContext, bivector_from_antisym, split_form
+from .forms import DEFAULT_MAX_DIM, FormContext, bivector_from_antisym, split_form
 from .scalars import imag_part, real_part
 
 
@@ -158,7 +158,8 @@ class PeriodicityReport:
         return self.map_report.passed
 
 
-def build_periodicity_map(p: int, q: int, max_dim: int = 12) -> PeriodicityReport:
+def build_periodicity_map(p: int, q: int,
+                          max_dim: int = DEFAULT_MAX_DIM) -> PeriodicityReport:
     """Generator assignment realizing Cl(p,q) as the commuting product of a
     Cl(p-1,q-1) image and a hyperbolic Cl(1,1) factor, with its verification."""
     if p < 1 or q < 1:

@@ -1,5 +1,5 @@
 """Grassmann layer: blades as bit sets, wedge product, graded involutions,
-and the left contractions driven by B, g or A.
+the left contractions driven by B, g or A, and unitriangular basis changes.
 
 A blade is an int whose set bits are the (0-based) generator indices of the
 wedge monomial; bit i stands for e_{i+1}. The empty set is the unit.
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ContextMismatch, ShapeError
+from .errors import ComputationError, ShapeError
 from .scalars import GaussianRational, Scalar, as_scalar, conj
 
 
@@ -41,6 +41,19 @@ def wedge_sign(left: int, right: int) -> int:
         inversions += (left >> low.bit_length()).bit_count()
         r ^= low
     return -1 if inversions & 1 else 1
+
+
+def add_scaled(acc: dict, terms: dict, factor=1) -> dict:
+    """acc += factor·terms on term dicts, in place; cancelled blades are
+    dropped. Returns acc."""
+    scaled = factor != 1
+    for bits, coeff in terms.items():
+        new = acc.get(bits, Fraction(0)) + (coeff * factor if scaled else coeff)
+        if new == 0:
+            acc.pop(bits, None)
+        else:
+            acc[bits] = new
+    return acc
 
 
 def grade_involution_sign(k: int) -> int:
@@ -121,23 +134,16 @@ class Multivector:
 
     # -- ring structure ----------------------------------------------------
 
-    def _binary(self, other, combine):
+    def _binary(self, other, factor):
         self.ctx.require_compatible(other.ctx)
-        terms = dict(self.terms)
-        for bits, coeff in other.terms.items():
-            new = combine(terms.get(bits, Fraction(0)), coeff)
-            if new == 0:
-                terms.pop(bits, None)
-            else:
-                terms[bits] = new
-        return Multivector(self.ctx, terms)
+        return Multivector(self.ctx, add_scaled(dict(self.terms), other.terms, factor))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussianRational)):
             other = self.ctx.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self._binary(other, lambda a, b: a + b)
+        return self._binary(other, 1)
 
     __radd__ = __add__
 
@@ -146,7 +152,7 @@ class Multivector:
             other = self.ctx.scalar(other)
         if not isinstance(other, Multivector):
             return NotImplemented
-        return self._binary(other, lambda a, b: a - b)
+        return self._binary(other, -1)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -284,19 +290,56 @@ def contract_left(x: Multivector, u: Multivector, form: str = "B") -> Multivecto
     matrix = _form_matrix(x.ctx, form)
     acc = {}
     for bits, coeff in x.terms.items():
-        if bits == 0:
-            partial = {b: c * coeff for b, c in u.terms.items()}
-        else:
-            work = u.terms
-            for i in reversed(blade_indices(bits)):
-                work = _vector_contract(i, work, matrix)
-                if not work:
-                    break
-            partial = {b: c * coeff for b, c in work.items()}
-        for b, c in partial.items():
-            new = acc.get(b, Fraction(0)) + c
-            if new == 0:
-                acc.pop(b, None)
-            else:
-                acc[b] = new
+        work = u.terms
+        for i in reversed(blade_indices(bits)):
+            work = _vector_contract(i, work, matrix)
+            if not work:
+                break
+        add_scaled(acc, work, coeff)
     return Multivector(x.ctx, acc)
+
+
+class UnitriangularBasis:
+    """A basis b_I of ∧V built by b_∅ = 1 and b_I = step(i, b_{I∖i}), i the
+    lowest index of I, together with its inverse.
+
+    Each b_I must be the blade e_I plus strictly lower grades, so both
+    directions of the basis change are unitriangular in the grade filtration.
+    ``to_wedge`` maps I to b_I; ``from_wedge`` maps I to the coordinates of
+    e_I over the b-basis.
+    """
+
+    def __init__(self, ctx, step):
+        self.ctx = ctx
+        self.to_wedge = {}
+        self.from_wedge = {}
+        for bits in sorted(ctx.basis_blades(), key=lambda b: (blade_grade(b), b)):
+            if bits == 0:
+                image = ctx.one()
+            else:
+                low = bits & -bits
+                image = step(low.bit_length(), self.to_wedge[bits ^ low])
+            grade = blade_grade(bits)
+            if image.coefficient(bits) != 1 or any(
+                    b != bits and blade_grade(b) >= grade for b in image.terms):
+                raise ComputationError("internal: basis is not unitriangular")
+            expansion = {bits: Fraction(1)}
+            for b, c in image.terms.items():
+                if b != bits:
+                    add_scaled(expansion, self.from_wedge[b], -c)
+            self.to_wedge[bits] = image
+            self.from_wedge[bits] = expansion
+
+    def to_coords(self, u: Multivector) -> dict:
+        """Coordinates of u over the b-basis."""
+        coords = {}
+        for bits, coeff in u.terms.items():
+            add_scaled(coords, self.from_wedge[bits], coeff)
+        return coords
+
+    def from_coords(self, coords: dict) -> Multivector:
+        """The element with the given b-basis coordinates."""
+        acc = {}
+        for bits, coeff in coords.items():
+            add_scaled(acc, self.to_wedge[bits].terms, coeff)
+        return Multivector(self.ctx, acc)

@@ -32,9 +32,11 @@ class FormContext:
     """An algebra context: dimension n, the bilinear form B, and its exact
     symmetric/antisymmetric split g, A.
 
-    The context also owns the per-algebra caches (product, monomial and
-    dotted-basis tables). Those are built once on first use and only read
-    afterwards, so contexts are safe to share between threads.
+    The context also owns the per-algebra caches (blade-pair products,
+    monomial and dotted-basis tables, the symmetric context), all behind
+    ``cached``. They fill lazily and are never evicted; the pair products
+    grow with every new blade pair. Contexts may be shared between threads:
+    concurrent fills may compute an entry twice, but store equal values.
     """
 
     def __init__(self, B, ring: str = RING_RATIONAL, max_dim: int = DEFAULT_MAX_DIM):
@@ -64,11 +66,14 @@ class FormContext:
             tuple((entries[i][j] - entries[j][i]) * half for j in range(n))
             for i in range(n)
         )
-        # lazy caches, see clifford.py / wick.py
-        self._monomial_table = None
-        self._pair_products = {}
-        self._dotted_tables = None
-        self._symmetric_ctx = None
+        self._cache = {}
+
+    def cached(self, key: str, build):
+        """The cached value under key, made by build() on first use."""
+        value = self._cache.get(key)
+        if value is None:
+            value = self._cache.setdefault(key, build())
+        return value
 
     # -- construction helpers -------------------------------------------
 
@@ -137,12 +142,11 @@ class FormContext:
 
     def symmetric_context(self) -> "FormContext":
         """The context of Cl(g,V): same symmetric part, A = 0."""
-        if self._symmetric_ctx is None:
+        def build():
             if all(x == 0 for row in self.A for x in row):
-                self._symmetric_ctx = self
-            else:
-                self._symmetric_ctx = FormContext(self.g, self.ring, self.max_dim)
-        return self._symmetric_ctx
+                return self
+            return FormContext(self.g, self.ring, self.max_dim)
+        return self.cached("symmetric", build)
 
     # -- form evaluation --------------------------------------------------
 

@@ -17,11 +17,10 @@ from typing import Optional
 import numpy as np
 
 from . import linalg
-from .clifford import monomial_table
 from .errors import ComputationError, InputError, ShapeError
 from .exterior import Multivector, blade_grade, blade_indices, reversion_sign
 from .forms import DEFAULT_MAX_DIM, FormContext, split_form
-from .scalars import (RING_GAUSSIAN, GaussianRational, Scalar, as_scalar, conj,
+from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj,
                       gaussian, imag_part, rationalize_float, real_part)
 from .textio import format_multivector
 from .wick import a_grade_project

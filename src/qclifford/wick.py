@@ -16,7 +16,8 @@ from typing import Optional
 
 from .clifford import monomial_table
 from .errors import ContextMismatch, ShapeError
-from .exterior import Multivector, blade_grade, blade_indices, contract_left, wedge
+from .exterior import (Multivector, UnitriangularBasis, blade_grade, blade_indices,
+                       contract_left, wedge)
 from .forms import FormContext, bivector_from_antisym
 from .scalars import Scalar, format_scalar
 
@@ -39,56 +40,26 @@ def outer_exp(F: Multivector) -> Multivector:
 # -- dotted wedge and the A-graded projectors ----------------------------
 
 
-def _dotted_tables(ctx: FormContext):
-    """Conversion tables between ∧̇-blades and ∧-blades; unitriangular, built
-    from A alone. ctx caches the result."""
-    if ctx._dotted_tables is not None:
-        return ctx._dotted_tables
-    order = sorted(ctx.basis_blades(), key=lambda b: (blade_grade(b), b))
-    to_wedge = {0: ctx.one()}
-    for bits in order:
-        if bits == 0:
-            continue
-        low = bits & -bits
-        rest = bits ^ low
-        e = ctx.e(low.bit_length())
-        prev = to_wedge[rest]
-        to_wedge[bits] = wedge(e, prev) + contract_left(e, prev, form="A")
+def _dotted_step(i: int, u: Multivector) -> Multivector:
+    """e_i∧̇u = e_i∧u + e_i⌋A u."""
+    e = u.ctx.e(i)
+    return wedge(e, u) + contract_left(e, u, form="A")
 
-    from_wedge: dict[int, dict] = {}
-    for bits in order:
-        expansion = {bits: Fraction(1)}
-        for b, c in to_wedge[bits].terms.items():
-            if b == bits:
-                continue
-            for k, ck in from_wedge[b].items():
-                new = expansion.get(k, Fraction(0)) - c * ck
-                if new == 0:
-                    expansion.pop(k, None)
-                else:
-                    expansion[k] = new
-        from_wedge[bits] = expansion
-    ctx._dotted_tables = (to_wedge, from_wedge)
-    return ctx._dotted_tables
+
+def _dotted_basis(ctx: FormContext) -> UnitriangularBasis:
+    """The ∧̇-blade basis against the ∧-blades; built from A alone and
+    cached per context."""
+    return ctx.cached("dotted", lambda: UnitriangularBasis(ctx, _dotted_step))
 
 
 def dotted_blade(ctx: FormContext, bits: int) -> Multivector:
     """The ∧̇-monomial e_{i1}∧̇(e_{i2}∧̇(…)) expressed in the wedge basis."""
-    return _dotted_tables(ctx)[0][bits]
+    return _dotted_basis(ctx).to_wedge[bits]
 
 
 def to_dotted_coords(u: Multivector) -> dict:
     """Coefficients of u over the ∧̇-blade basis."""
-    from_wedge = _dotted_tables(u.ctx)[1]
-    coords = {}
-    for bits, coeff in u.terms.items():
-        for k, ck in from_wedge[bits].items():
-            new = coords.get(k, Fraction(0)) + coeff * ck
-            if new == 0:
-                coords.pop(k, None)
-            else:
-                coords[k] = new
-    return coords
+    return _dotted_basis(u.ctx).to_coords(u)
 
 
 def dotted_wedge(x: Multivector, u: Multivector) -> Multivector:
@@ -105,8 +76,7 @@ def dotted_wedge(x: Multivector, u: Multivector) -> Multivector:
             continue
         w = u
         for i in reversed(blade_indices(bits)):
-            e = ctx.e(i)
-            w = wedge(e, w) + contract_left(e, w, form="A")
+            w = _dotted_step(i, w)
         acc = acc + w.scale(coeff)
     return acc
 
@@ -117,12 +87,9 @@ def a_grade_project(u: Multivector, r: int) -> Multivector:
     ctx = u.ctx
     if not 0 <= r <= ctx.dim:
         raise ShapeError(f"grade {r} out of range 0..{ctx.dim}")
-    to_wedge = _dotted_tables(ctx)[0]
-    acc = ctx.zero()
-    for bits, coeff in to_dotted_coords(u).items():
-        if blade_grade(bits) == r:
-            acc = acc + to_wedge[bits].scale(coeff)
-    return acc
+    basis = _dotted_basis(ctx)
+    return basis.from_coords({bits: coeff for bits, coeff in basis.to_coords(u).items()
+                              if blade_grade(bits) == r})
 
 
 # -- bundled Wick data ----------------------------------------------------
@@ -142,14 +109,14 @@ class WickData:
 
 def wick_data(ctx: FormContext) -> WickData:
     F = bivector_from_antisym(ctx)
-    to_w, from_w = _dotted_tables(ctx)
+    basis = _dotted_basis(ctx)
     return WickData(
         ctx=ctx,
         F=F,
         expF=outer_exp(F),
         expNegF=outer_exp(-F),
-        dotted_to_wedge=to_w,
-        wedge_to_dotted=from_w,
+        dotted_to_wedge=basis.to_wedge,
+        wedge_to_dotted=basis.from_wedge,
     )
 
 
@@ -214,7 +181,7 @@ def grading_witness(ctx1: FormContext, ctx2: FormContext) -> GradingVerdict:
     Two algebras are comparable when they have the same dimension, the same
     ring and the same generator squares e_i² = B_ii (the diagonal of g);
     otherwise ContextMismatch names what differed. The grading depends on A
-    only (`_dotted_tables` is built from A alone) and the witness compares A
+    only (`_dotted_basis` is built from A alone) and the witness compares A
     entries only, so off-diagonal g may differ: B = diag(1,−1) and
     B = [[1,1],[0,−1]] (g_12 = A_12 = 1/2) are both Cl_{1,1}, with A = 0 and
     A ≠ 0, and are compared. Equal squares keep e_i the same generator on

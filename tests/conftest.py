@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from qclifford import Multivector, split_form
 
@@ -54,8 +55,9 @@ def rand_bivector(rng, ctx, density=0.6):
 
 # -- independent oracles ----------------------------------------------------
 #
-# These re-implement wedge and vector contraction on index lists with naive
-# sign counting. They share no code with the package internals.
+# These re-implement wedge, vector contraction and the Clifford product on
+# index lists with naive sign counting. They share no code with the package
+# internals.
 
 
 def oracle_wedge_blades(left, right):
@@ -92,3 +94,40 @@ def terms_from_blades(ctx, pairs):
             bits |= 1 << (i - 1)
         d[bits] = d.get(bits, Fraction(0)) + coeff
     return Multivector.from_terms(ctx, d)
+
+
+def oracle_det(rows):
+    """Determinant of a square list of lists by Laplace expansion."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for c, entry in enumerate(rows[0]):
+        if entry != 0:
+            minor = oracle_det([row[:c] + row[c + 1:] for row in rows[1:]])
+            total = total + entry * minor if c % 2 == 0 else total - entry * minor
+    return total
+
+
+def oracle_blade_product(B, I, J):
+    """Rota–Stein cliffordization of two ascending index tuples,
+
+        e_I·e_J = Σ_{K⊆I, L⊆J, |K|=|L|} ε·det B[rev(K), L]·e_{I∖K}∧e_{J∖L},
+
+    where ε splits e_I = ±e_{I∖K}∧e_K and e_J = ±e_L∧e_{J∖L} (the ``cmulRS``
+    route of Ablamowicz & Fauser's BIGEBRA). Returns (coeff, blade) pairs."""
+    out = []
+    for k in range(min(len(I), len(J)) + 1):
+        for K in combinations(I, k):
+            rest_i = tuple(x for x in I if x not in K)
+            split_i, _ = oracle_wedge_blades(rest_i, K)
+            for L in combinations(J, k):
+                rest_j = tuple(x for x in J if x not in L)
+                split_j, _ = oracle_wedge_blades(L, rest_j)
+                merge, blade = oracle_wedge_blades(rest_i, rest_j)
+                if merge == 0:
+                    continue
+                det = oracle_det([[B[r - 1][c - 1] for c in L] for r in reversed(K)])
+                if det != 0:
+                    sign = split_i * split_j * merge
+                    out.append((det if sign > 0 else -det, blade))
+    return out

@@ -172,6 +172,18 @@ def test_sweep(capsys):
     assert [row["result"]["dimension"] for row in data["rows"]] == [2, 2]
 
 
+def test_sweep_leaves_its_arguments_unchanged():
+    from qclifford.cli import build_parser, cmd_sweep, load_spec_file
+    args = build_parser().parse_args([
+        "sweep", spec("cl11_a0.json"), "--entry", "1,2", "--values", "0,1",
+        "--run", "ideal", "--element", "f_minus"])
+    before = vars(args).copy()
+    loaded = load_spec_file(args.spec)
+    first = cmd_sweep(loaded, args)
+    assert vars(args) == before
+    assert cmd_sweep(loaded, args) == first
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "mul", spec("cl11_a0.json"), "e1^", "e2")
     assert code == 2

@@ -1,18 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qclifford import (ComputationError, ShapeError, clifford_apply_generator,
-                       clifford_product, contract_left, inverse,
+                       clifford_product, contract_left, gaussian, inverse,
                        monomial_table, quadratic, regular_representation,
                        split_form, verify_generator_relations, wedge)
-from qclifford import linalg
+from qclifford import clifford, linalg
 from qclifford.exterior import blade_grade
 
-from conftest import rand_form, rand_fraction, rand_multivector, rand_vector
+from conftest import (oracle_blade_product, rand_form, rand_fraction,
+                      rand_multivector, rand_vector, terms_from_blades)
 
 
 def example_form(a=1):
@@ -104,6 +106,27 @@ def test_product_decomposition_into_contractions_and_wedge():
         u = rand_multivector(rng, ctx)
         assert x * u == (contract_left(x, u, "g") + contract_left(x, u, "A")
                          + wedge(x, u))
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q(i)"])
+def test_product_matches_rota_stein_closed_form(ring, monkeypatch):
+    def no_table(ctx):
+        raise AssertionError("a product built the monomial table")
+
+    monkeypatch.setattr(clifford, "MonomialTable", no_table)
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4, 4):
+        if ring == "Q":
+            B = [[rand_fraction(rng) for _ in range(n)] for _ in range(n)]
+        else:
+            B = [[gaussian(rand_fraction(rng), rand_fraction(rng)) for _ in range(n)]
+                 for _ in range(n)]
+        ctx = split_form(B, ring=ring)
+        blades = [I for k in range(n + 1) for I in combinations(range(1, n + 1), k)]
+        for I in blades:
+            for J in blades:
+                expected = terms_from_blades(ctx, oracle_blade_product(ctx.B, I, J))
+                assert clifford_product(ctx.blade(I), ctx.blade(J)) == expected
 
 
 def test_monomial_table_unitriangular():

@@ -1,14 +1,16 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from qclifford import (ComputationError, DegenerateFormError, ShapeError,
-                       bivector_from_antisym, contract_left, quadratic,
+from qclifford import (ComputationError, DegenerateFormError, Multivector,
+                       ShapeError, bivector_from_antisym, contract_left, quadratic,
                        signature, split_form, wedge)
 from qclifford import linalg
 
-from conftest import rand_fraction, rand_form, rand_vector
+from conftest import rand_fraction, rand_form, rand_multivector, rand_vector
 
 
 def test_split_form_upper_triangular_example():
@@ -157,3 +159,34 @@ def test_gaussian_ring_signature_rejected_when_complex():
     ctx = split_form([[gaussian(0, 1), 0], [0, 1]], ring="Q(i)")
     with pytest.raises(ComputationError):
         signature(ctx)
+
+
+def test_shared_context_fills_caches_consistently_across_threads():
+    # The docstring's claim: a context shared between threads fills its
+    # caches lazily, and concurrent fills leave every result correct.
+    rng = random.Random(41)
+    B = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
+    serial_ctx = split_form(B)
+    pairs = [(rand_multivector(rng, serial_ctx, terms=6),
+              rand_multivector(rng, serial_ctx, terms=6)) for _ in range(8)]
+    expected = [(u * v).terms for u, v in pairs]
+    shared = split_form(B)
+    results = [None] * 4
+
+    def work(k):
+        # every thread walks the same products, so they race on the same entries
+        results[k] = [(Multivector(shared, u.terms) * Multivector(shared, v.terms)).terms
+                      for u, v in pairs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
