@@ -9,13 +9,15 @@ or, for the index-doubled creation/annihilation form,
 
     {"ring": "Q(i)", "car": {"n": 2, "A": [["0", ...], ...]}}
 
-Exit codes: 0 success, 1 computational error, 2 input error.
+Exit codes: 0 success (also when the reader closes stdout early, as in
+``qcliff table spec.json | head -1``), 1 computational error, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -77,7 +79,7 @@ def load_spec_data(data: dict, path: str = "<spec>",
         unknown = set(block) - _CAR_KEYS
         if unknown:
             raise InputError(f"unknown fields in car block: {sorted(unknown)}")
-        if "n" not in block or not isinstance(block["n"], int):
+        if "n" not in block or type(block["n"]) is not int:  # bool is an int
             raise InputError("car block needs an integer \"n\"")
         ring = data.get("ring", RING_GAUSSIAN)
         n = block["n"]
@@ -90,7 +92,7 @@ def load_spec_data(data: dict, path: str = "<spec>",
         elements["fock"] = car.fock_idempotent()
     else:
         ring = data.get("ring", RING_RATIONAL)
-        if "dim" not in data or not isinstance(data["dim"], int):
+        if "dim" not in data or type(data["dim"]) is not int:  # bool is an int
             raise InputError("algebra definition needs an integer \"dim\"")
         dim = data["dim"]
         B = _parse_matrix(data["B"], dim, ring, "B")
@@ -263,12 +265,8 @@ def cmd_corner(loaded, args):
 
 
 def cmd_split(loaded, args):
-    result = reps.corner_split_search(
-        _resolve(loaded, args.f),
-        seed=args.seed,
-        tolerance=args.tol,
-        max_seeds=args.seeds,
-    )
+    result = reps.corner_split_search(_resolve(loaded, args.f), seed=args.seed,
+                                      max_seeds=args.seeds)
     out = {"outcome": result.outcome, "corner_dimension": result.corner_dimension}
     if result.outcome == "split":
         out["parts"] = [_mv(result.first), _mv(result.second)]
@@ -384,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
                         help="dimension limit (default 12)")
     common.add_argument("--seeds", type=int, default=reps.DEFAULT_MAX_SEEDS,
-                        help="trial budget for the numeric split stage")
-    common.add_argument("--tol", type=float, default=reps.DEFAULT_TOLERANCE,
-                        help="eigenprojection residual tolerance")
+                        help="trial budget for the split search")
+    common.add_argument("--tol", type=float, default=None,
+                        help="ignored; the split search is exact")
     common.add_argument("--seed", type=int, default=0,
-                        help="base seed for the numeric split stage")
+                        help="base seed for the split search")
 
     parser = argparse.ArgumentParser(
         prog="qcliff",
@@ -450,7 +448,12 @@ def main(argv=None) -> int:
     except ComputationError as exc:
         print(f"computational error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(out, indent=2) if args.json else text)
+    try:
+        print(json.dumps(out, indent=2) if args.json else text, flush=True)
+    except BrokenPipeError:  # the reader left; keep the flush at exit quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 

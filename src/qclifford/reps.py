@@ -1,10 +1,11 @@
 """Representation probes: idempotents, left ideals with exact dimensions,
-Peirce corners, a numeric-then-certified splitting search, and the
-index-doubled CAR / U(2) model.
+Peirce corners, an exact splitting search, and the index-doubled CAR / U(2)
+model.
 
-Everything that ends up in a certificate is verified bit-exactly; floating
-point appears only inside the eigenprojection stage of the splitting search
-and never leaks into results.
+The splitting search works from the exact minimal polynomial of a corner
+element and its rational roots. Floats appear only as root guesses, each
+kept only when the polynomial vanishes there exactly, so every outcome and
+every certificate is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -12,22 +13,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm, prod
 from typing import Optional
 
-import numpy as np
-
 from . import linalg
-from .errors import ComputationError, InputError, ShapeError
+from .errors import InputError, ShapeError
 from .exterior import Multivector, blade_grade, blade_indices, reversion_sign
 from .forms import DEFAULT_MAX_DIM, FormContext, split_form
-from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj,
-                      gaussian, imag_part, rationalize_float, real_part)
+from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj, gaussian,
+                      imag_part, real_part)
 from .textio import format_multivector
 from .wick import a_grade_project
 
-DEFAULT_TOLERANCE = 1e-9
 DEFAULT_MAX_SEEDS = 32
-DEFAULT_DENOMINATOR_BOUND = 10**6
 
 
 def is_idempotent(f: Multivector) -> bool:
@@ -47,16 +45,19 @@ class IdealBasis:
     dimension: int
 
 
+def _span(ctx: FormContext, elements) -> list:
+    """Canonical basis of the span of elements: the nonzero rows of the
+    exact RREF of their coordinates, rebuilt as multivectors."""
+    rows = linalg.row_space_basis([u.coordinates() for u in elements])
+    return [Multivector.from_terms(ctx, {b: c for b, c in enumerate(row) if c != 0})
+            for row in rows]
+
+
 def left_ideal(f: Multivector) -> IdealBasis:
     """Span of {blade·f} over all blades, reduced by exact elimination."""
     _require_idempotent(f)
     ctx = f.ctx
-    rows = [(ctx.blade(bits) * f).coordinates() for bits in ctx.basis_blades()]
-    basis_rows = linalg.row_space_basis(rows)
-    basis = [
-        Multivector.from_terms(ctx, {b: c for b, c in enumerate(row) if c != 0})
-        for row in basis_rows
-    ]
+    basis = _span(ctx, [ctx.blade(bits) * f for bits in ctx.basis_blades()])
     return IdealBasis(idempotent=f, basis=basis, dimension=len(basis))
 
 
@@ -74,22 +75,14 @@ class CornerBasis:
 
 
 def peirce_corner(f: Multivector) -> CornerBasis:
+    """Span of {f·blade·f} over all blades, reduced by exact elimination."""
     _require_idempotent(f)
     ctx = f.ctx
-    rows = [(f * ctx.blade(bits) * f).coordinates() for bits in ctx.basis_blades()]
-    basis_rows = linalg.row_space_basis(rows)
-    basis = [
-        Multivector.from_terms(ctx, {b: c for b, c in enumerate(row) if c != 0})
-        for row in basis_rows
-    ]
+    basis = _span(ctx, [f * ctx.blade(bits) * f for bits in ctx.basis_blades()])
     return CornerBasis(idempotent=f, basis=basis, dimension=len(basis))
 
 
-# -- numeric splitting with exact certification ---------------------------
-
-
-def _scalar_to_complex(x: Scalar) -> complex:
-    return complex(float(real_part(x)), float(imag_part(x)))
+# -- exact splitting from the minimal polynomial ----------------------------
 
 
 def _proportional(u: Multivector, v: Multivector) -> bool:
@@ -99,19 +92,6 @@ def _proportional(u: Multivector, v: Multivector) -> bool:
     bits, lead = next(iter(v.terms.items()))
     lam = u.coefficient(bits) / lead
     return u == v.scale(lam)
-
-
-def _corner_coordinates(basis_rows, element: Multivector):
-    coords = linalg.coordinates_in(basis_rows, element.coordinates())
-    if coords is None:
-        raise ComputationError("internal: element escaped the corner")
-    return coords
-
-
-def _left_mult_matrix(c: Multivector, basis, basis_rows):
-    cols = [_corner_coordinates(basis_rows, c * b) for b in basis]
-    k = len(basis)
-    return [[cols[j][i] for j in range(k)] for i in range(k)]
 
 
 def _trial_elements(basis, f, seed: int, max_seeds: int):
@@ -140,23 +120,88 @@ def _trial_elements(basis, f, seed: int, max_seeds: int):
         count += 1
 
 
-def _rationalize_coords(values, ring: str, bound: int, tolerance: float):
-    out = []
-    for z in values:
-        tol = tolerance * max(1.0, abs(z))
-        re = rationalize_float(z.real, bound, tol)
-        if re is None:
-            return None
-        if abs(z.imag) <= tol:
-            out.append(re)
+def _krylov(c: Multivector, f: Multivector):
+    """Powers f, c, …, c^(d−1) of a corner element and the monic minimal
+    polynomial m of c in the corner (unit f), coefficients low to high."""
+    powers, rows = [f], [f.coordinates()]
+    while True:
+        nxt = c * powers[-1]
+        row = nxt.coordinates()
+        coords = linalg.coordinates_in(rows, row)
+        if coords is not None:
+            return powers, [-a for a in coords] + [Fraction(1)]
+        powers.append(nxt)
+        rows.append(row)
+
+
+def _divide_linear(poly, lam):
+    """Quotient and remainder poly(λ) of poly (coefficients low to high) by
+    x − λ, by synthetic division."""
+    acc, quotient = 0, []
+    for a in reversed(poly):
+        acc = acc * lam + a
+        quotient.append(acc)
+    remainder = quotient.pop()
+    return quotient[::-1], remainder
+
+
+def _power_of_linear(m):
+    """λ when m = (x − λ)^d exactly, else None."""
+    lam = -m[-2] / (len(m) - 1)
+    q = [Fraction(1)]
+    while len(q) < len(m):
+        q = [a - lam * b for a, b in zip([0] + q, q + [0])]
+    return lam if q == m else None
+
+
+_ROOT_ITERATIONS = 100
+_NEWTON_STEPS = 4
+
+
+def _approximate_roots(m):
+    """Durand–Kerner guesses at all complex roots of the monic m, in floats
+    with a fixed iteration count. Raises OverflowError for huge coefficients."""
+    coeffs = [complex(float(real_part(a)), float(imag_part(a))) for a in m]
+    d = len(m) - 1
+    radius = 2 * max(abs(coeffs[d - k]) ** (1 / k) for k in range(1, d + 1))
+    z = [radius * (0.4 + 0.9j) ** k for k in range(d)]
+    for _ in range(_ROOT_ITERATIONS):
+        for i in range(d):
+            denom = prod(z[i] - z[j] for j in range(d) if j != i)
+            if denom != 0:
+                z[i] -= _divide_linear(coeffs, z[i])[1] / denom
+    return z
+
+
+def _rational_roots(m):
+    """Distinct rational roots of the monic m, ascending.
+
+    With D the common denominator of Re(m), y = D·x makes Re(m) a monic
+    integer polynomial, so a rational root is y/D for an integer y. Each
+    float guess is rounded to y and refined by Newton steps; y/D is kept
+    only when m vanishes there exactly."""
+    re = [real_part(a) for a in m]
+    D = lcm(*(a.denominator for a in re))
+    roots = set()
+    try:
+        guesses = _approximate_roots(m)
+    except OverflowError:
+        return []
+    for z in guesses:
+        try:
+            y = round(D * z.real)
+        except (OverflowError, ValueError):  # the guess is not finite
             continue
-        if ring != RING_GAUSSIAN:
-            return None
-        im = rationalize_float(z.imag, bound, tol)
-        if im is None:
-            return None
-        out.append(gaussian(re, im))
-    return out
+        for _ in range(_NEWTON_STEPS):
+            x = Fraction(y, D)
+            q, value = _divide_linear(re, x)
+            slope = _divide_linear(q, x)[1]
+            if value == 0 or slope == 0:
+                break
+            y = round(D * (x - value / slope))
+        if _divide_linear(m, Fraction(y, D))[1] == 0:
+            roots.add(Fraction(y, D))
+    return sorted(roots)
 
 
 @dataclass
@@ -169,84 +214,51 @@ class SplitSearchResult:
 
 
 def corner_split_search(f: Multivector, seed: int = 0,
-                        tolerance: float = DEFAULT_TOLERANCE,
-                        max_seeds: int = DEFAULT_MAX_SEEDS,
-                        denominator_bound: int = DEFAULT_DENOMINATOR_BOUND,
-                        ) -> SplitSearchResult:
+                        max_seeds: int = DEFAULT_MAX_SEEDS) -> SplitSearchResult:
     """Look for an orthogonal idempotent split f = p + (f−p) inside the
     Peirce corner.
 
-    Strategy: left-multiplication matrix of a trial corner element, floating
-    point eigenprojections, continued-fraction rationalization, then exact
-    verification p·p = p, f·p = p·f = p. Returns the first certified split;
+    Strategy: for each trial corner element c, the exact minimal polynomial
+    m (Krylov sequence f, c, c², …) and its rational roots; for a simple root
+    λ, the spectral idempotent p = r(c)/r(λ) with r = m/(x−λ), verified
+    exactly: p·p = p, f·p = p·f = p. Returns the first certified split;
     "no-split-found" is an inconclusive outcome, distinct from a primitivity
     certificate (corner dimension 1).
     """
     corner = peirce_corner(f)
     if corner.dimension == 1:
         return SplitSearchResult(outcome="primitive", corner_dimension=1)
-    ctx = f.ctx
-    basis = corner.basis
-    basis_rows = [b.coordinates() for b in basis]
-    f_coords = np.array(
-        [_scalar_to_complex(x) for x in _corner_coordinates(basis_rows, f)]
-    )
     trials = []
-    for trial_index, (kind, c) in enumerate(_trial_elements(basis, f, seed, max_seeds)):
+    for trial_index, (kind, c) in enumerate(
+            _trial_elements(corner.basis, f, seed, max_seeds)):
         entry = {"trial": trial_index, "kind": kind,
                  "element": format_multivector(c)}
         trials.append(entry)
-        M = np.array(
-            [[_scalar_to_complex(x) for x in row]
-             for row in _left_mult_matrix(c, basis, basis_rows)]
-        )
-        eigvals = np.linalg.eigvals(M)
-        scale = max(1.0, float(np.max(np.abs(eigvals))))
-        clusters: list = []
-        for v in sorted(eigvals, key=lambda z: (z.real, z.imag)):
-            for cl in clusters:
-                if abs(v - cl) <= 1e-8 * scale:
-                    break
-            else:
-                clusters.append(v)
-        entry["eigenvalues"] = [[round(v.real, 9), round(v.imag, 9)] for v in clusters]
-        if len(clusters) < 2:
+        powers, m = _krylov(c, f)
+        single = _power_of_linear(m)
+        roots = [single] if single is not None else _rational_roots(m)
+        entry["eigenvalues"] = [[round(float(real_part(lam)), 9),
+                                 round(float(imag_part(lam)), 9)] for lam in roots]
+        if single is not None:
             entry["result"] = "single-eigenvalue"
             continue
         entry["result"] = "no-rational-projection"
-        for lam in clusters:
-            if abs(lam.imag) > 1e-8 * scale:
+        for lam in roots:
+            r = _divide_linear(m, lam)[0]
+            scale = _divide_linear(r, lam)[1]
+            if scale == 0:  # multiple root: no spectral idempotent from r
                 continue
-            P = np.eye(len(basis), dtype=complex)
-            for mu in clusters:
-                if mu is lam:
-                    continue
-                P = P @ (M - mu * np.eye(len(basis))) / (lam - mu)
-            coords = _rationalize_coords(
-                list(P @ f_coords), ctx.ring, denominator_bound, tolerance
-            )
-            if coords is None:
-                continue
-            p = ctx.zero()
-            for b, co in zip(basis, coords):
+            p = f.ctx.zero()
+            for power, co in zip(powers, r):
                 if co != 0:
-                    p = p + b.scale(co)
+                    p = p + power.scale(co / scale)
             if p.is_zero() or p == f:
                 continue
             if p * p == p and f * p == p and p * f == p:
                 entry["result"] = "split-found"
-                return SplitSearchResult(
-                    outcome="split",
-                    first=p,
-                    second=f - p,
-                    corner_dimension=corner.dimension,
-                    trials=trials,
-                )
-    return SplitSearchResult(
-        outcome="no-split-found",
-        corner_dimension=corner.dimension,
-        trials=trials,
-    )
+                return SplitSearchResult("split", p, f - p, corner.dimension, trials)
+    return SplitSearchResult("no-split-found", corner_dimension=corner.dimension,
+                             trials=trials)
 
 
 @dataclass
@@ -261,9 +273,7 @@ class PrimitiveDecomposition:
 
 
 def primitive_decomposition(f: Multivector, seed: int = 0,
-                            tolerance: float = DEFAULT_TOLERANCE,
-                            max_seeds: int = DEFAULT_MAX_SEEDS,
-                            ) -> PrimitiveDecomposition:
+                            max_seeds: int = DEFAULT_MAX_SEEDS) -> PrimitiveDecomposition:
     """Split f all the way down: repeated corner searches, breadth-first.
     Leaves that resist splitting land in `unresolved` (inconclusive), never
     among the certified primitives."""
@@ -272,9 +282,7 @@ def primitive_decomposition(f: Multivector, seed: int = 0,
     primitives, unresolved, log = [], [], []
     while queue:
         g = queue.pop(0)
-        result = corner_split_search(
-            g, seed=seed, tolerance=tolerance, max_seeds=max_seeds
-        )
+        result = corner_split_search(g, seed=seed, max_seeds=max_seeds)
         log.append((format_multivector(g), result.outcome))
         if result.outcome == "primitive":
             primitives.append(g)
@@ -514,8 +522,7 @@ def solve_u2_generators(car: CarContext) -> U2Solution:
 
 
 def deformed_probe(ctx: FormContext, reference_dimension: int = 8,
-                   seed: int = 0, tolerance: float = DEFAULT_TOLERANCE,
-                   max_seeds: int = DEFAULT_MAX_SEEDS) -> dict:
+                   seed: int = 0, max_seeds: int = DEFAULT_MAX_SEEDS) -> dict:
     """Run the idempotent → ideal rank → corner → split-search pipeline from
     the unit and emit a verdict transcript.
 
@@ -526,8 +533,7 @@ def deformed_probe(ctx: FormContext, reference_dimension: int = 8,
         "regular_representation_dimension": 1 << ctx.dim,
         "reference_dimension": reference_dimension,
     }
-    first = corner_split_search(ctx.one(), seed=seed, tolerance=tolerance,
-                                max_seeds=max_seeds)
+    first = corner_split_search(ctx.one(), seed=seed, max_seeds=max_seeds)
     transcript["unit_split_outcome"] = first.outcome
     if first.outcome != "split":
         transcript["status"] = "no-idempotent-found"
@@ -539,8 +545,7 @@ def deformed_probe(ctx: FormContext, reference_dimension: int = 8,
     f = first.first
     ideal = left_ideal(f)
     corner = peirce_corner(f)
-    further = corner_split_search(f, seed=seed, tolerance=tolerance,
-                                  max_seeds=max_seeds)
+    further = corner_split_search(f, seed=seed, max_seeds=max_seeds)
     transcript.update({
         "status": "completed",
         "idempotent": format_multivector(f),

@@ -194,11 +194,3 @@ def format_scalar(value: Scalar) -> str:
         return f"({value.re}{sign}{imtxt})"
     return str(real_part(value))
 
-
-def rationalize_float(x: float, max_denominator: int, tolerance: float):
-    """Continued-fraction reconstruction of a float; None when no candidate
-    within tolerance exists at the given denominator bound."""
-    cand = Fraction(x).limit_denominator(max_denominator)
-    if abs(float(cand) - x) <= tolerance:
-        return cand
-    return None

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from qclifford.cli import main
 
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def spec(name):
@@ -22,6 +25,12 @@ def write_spec(tmp_path, data, name="algebra.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    paths = [SRC, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def test_mul_example(capsys):
@@ -227,3 +236,40 @@ def test_max_dim_flag(capsys, tmp_path):
     })
     code, _, err = run(capsys, "witt", path, "--max-dim", "1")
     assert code == 2
+
+
+def test_spec_loader_rejects_booleans(capsys, tmp_path):
+    # JSON true loads as bool, which passes isinstance(x, int)
+    for data in ({"dim": True, "B": [["1"]]}, {"car": {"n": True}}):
+        code, _, err = run(capsys, "witt", write_spec(tmp_path, data))
+        assert code == 2
+        assert "integer" in err
+
+
+def test_tol_is_accepted_and_ignored(capsys):
+    # kept so that old command lines still parse; the split search is exact
+    argv = ["split", spec("cl13.json"), "1", "--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert run(capsys, *argv, "--tol", "0.5")[:2] == (code, out)
+
+
+def test_closed_stdout_is_not_an_error():
+    # the read end is closed before the child writes, so its output hits EPIPE
+    child = subprocess.Popen(
+        [sys.executable, "-m", "qclifford.cli", "table", spec("car2.json")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+    child.stdout.close()
+    code = child.wait(timeout=120)
+    err = child.stderr.read()
+    child.stderr.close()
+    assert (code, err) == (0, b"")
+
+
+def test_package_imports_without_numpy():
+    code = ("import sys, qclifford, qclifford.cli, qclifford.reps, qclifford.decomp; "
+            "print('numpy' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, env=child_env(), timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -131,6 +131,35 @@ def test_split_certificates_are_exact():
         assert p + result.second == ctx.one()
 
 
+@pytest.mark.parametrize("square, part", [
+    (Fraction(1, 10**18), "1/2 - 500000000*e1"),
+    (Fraction(1, 7**20), "1/2 - 282475249/2*e1"),
+])
+def test_split_search_separates_tiny_eigenvalues(square, part):
+    # e1 has the eigenvalues ±sqrt(square), too close for float clustering
+    ctx = split_form([[square, 0], [0, -1]])
+    result = corner_split_search(ctx.one())
+    assert result.outcome == "split"
+    assert str(result.first) == part
+    p = result.first
+    assert p * p == p and p + result.second == ctx.one()
+
+
+def test_split_search_rational_root_of_gaussian_minimal_polynomial():
+    # the third trial, e1^e2, has minimal polynomial x² + 2i·x − 1 − 2i =
+    # (x − 1)(x + 1 + 2i): a non-real coefficient and the rational root 1
+    i = gaussian(0, 1)
+    ctx = split_form([[2, i], [-i, -i]], ring="Q(i)")
+    result = corner_split_search(ctx.one())
+    assert result.outcome == "split"
+    assert [t["result"] for t in result.trials] == \
+        ["no-rational-projection", "no-rational-projection", "split-found"]
+    assert result.trials[-1]["eigenvalues"] == [[1.0, 0.0]]
+    p = result.first
+    assert str(p) == "(3/4+1/4i) + (1/4-1/4i)*e1^e2"
+    assert p * p == p and p + result.second == ctx.one()
+
+
 # -- CAR / U(2) --------------------------------------------------------------
 
 

@@ -5,8 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qclifford.scalars import (GaussianRational, as_scalar, conj, format_scalar,
-                               gaussian, parse_rational, rationalize_float,
-                               scalar_from_json, scalar_to_json)
+                               gaussian, parse_rational, scalar_from_json,
+                               scalar_to_json)
 
 fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
@@ -70,9 +70,3 @@ def test_format_scalar():
     assert format_scalar(gaussian(0, -1)) == "-i"
     assert format_scalar(gaussian(0, Fraction(3, 4))) == "3/4i"
     assert format_scalar(gaussian(Fraction(1, 2), Fraction(-3, 4))) == "(1/2-3/4i)"
-
-
-def test_rationalize_float():
-    assert rationalize_float(0.5, 10**6, 1e-9) == Fraction(1, 2)
-    assert rationalize_float(2 / 3, 10**6, 1e-9) == Fraction(2, 3)
-    assert rationalize_float(0.1234567891234, 100, 1e-12) is None
