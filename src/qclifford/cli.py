@@ -9,6 +9,11 @@ or, for the index-doubled creation/annihilation form,
 
     {"ring": "Q(i)", "car": {"n": 2, "A": [["0", ...], ...]}}
 
+Algebras have at most 12 generators (``forms.MAX_DIM``; a car block of n
+modes has 2n); a larger one is refused as an input error. Every subcommand
+takes ``--json``; ``split`` and ``sweep`` also take ``--seeds`` and ``--seed``
+for the split search.
+
 Exit codes: 0 success (also when the reader closes stdout early, as in
 ``qcliff table spec.json | head -1``), 1 computational error, 2 input error.
 """
@@ -27,7 +32,7 @@ from . import decomp, reps, wick
 from .clifford import clifford_product
 from .errors import ComputationError, InputError
 from .exterior import Multivector, wedge
-from .forms import DEFAULT_MAX_DIM, FormContext, split_form
+from .forms import FormContext, split_form
 from .reps import CarContext, build_car
 from .scalars import (RING_GAUSSIAN, RING_RATIONAL, parse_rational,
                       scalar_from_json)
@@ -57,8 +62,7 @@ def _parse_matrix(data, size, ring, what):
         raise InputError(f"in {what}: {exc}") from exc
 
 
-def load_spec_data(data: dict, path: str = "<spec>",
-                   max_dim: int = DEFAULT_MAX_DIM) -> LoadedSpec:
+def load_spec_data(data: dict, path: str = "<spec>") -> LoadedSpec:
     if not isinstance(data, dict):
         raise InputError("algebra definition must be a JSON object")
     unknown = set(data) - _SPEC_KEYS
@@ -84,7 +88,7 @@ def load_spec_data(data: dict, path: str = "<spec>",
         ring = data.get("ring", RING_GAUSSIAN)
         n = block["n"]
         A = _parse_matrix(block["A"], 2 * n, ring, "car A") if "A" in block else None
-        car = build_car(n, A, ring=ring, max_dim=max_dim)
+        car = build_car(n, A, ring=ring)
         ctx = car.ctx
         for i in range(1, n + 1):
             elements[f"a{i}"] = car.annihilator(i)
@@ -96,7 +100,7 @@ def load_spec_data(data: dict, path: str = "<spec>",
             raise InputError("algebra definition needs an integer \"dim\"")
         dim = data["dim"]
         B = _parse_matrix(data["B"], dim, ring, "B")
-        ctx = split_form(B, ring=ring, max_dim=max_dim)
+        ctx = split_form(B, ring=ring)
 
     named = data.get("elements", {})
     if not isinstance(named, dict):
@@ -106,7 +110,7 @@ def load_spec_data(data: dict, path: str = "<spec>",
     return LoadedSpec(ctx=ctx, elements=elements, car=car, raw=data, path=path)
 
 
-def load_spec_file(path: str, max_dim: int = DEFAULT_MAX_DIM) -> LoadedSpec:
+def load_spec_file(path: str) -> LoadedSpec:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
@@ -114,7 +118,7 @@ def load_spec_file(path: str, max_dim: int = DEFAULT_MAX_DIM) -> LoadedSpec:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
-    return load_spec_data(data, path=path, max_dim=max_dim)
+    return load_spec_data(data, path=path)
 
 
 def _resolve(loaded: LoadedSpec, text: str) -> Multivector:
@@ -196,7 +200,7 @@ def _generic_element(ctx):
 
 
 def cmd_grading_diff(loaded, args):
-    other = load_spec_file(args.spec_b, max_dim=args.max_dim)
+    other = load_spec_file(args.spec_b)
     verdict = wick.grading_witness(loaded.ctx, other.ctx)
     if verdict.equal:
         return {"equal": True}, "gradings are equal"
@@ -295,7 +299,7 @@ def cmd_u2(loaded, args):
     return out, text
 
 
-def _sweep_contexts(loaded, entry, value, max_dim):
+def _sweep_contexts(loaded, entry, value):
     """Rebuild the algebra with one entry replaced by the sweep value."""
     data = json.loads(json.dumps(loaded.raw))
     i, j = entry
@@ -313,7 +317,7 @@ def _sweep_contexts(loaded, entry, value, max_dim):
         if not (1 <= i <= dim and 1 <= j <= dim):
             raise InputError(f"sweep entry must lie within 1..{dim}")
         data["B"][i - 1][j - 1] = str(value)
-    return load_spec_data(data, path=loaded.path, max_dim=max_dim)
+    return load_spec_data(data, path=loaded.path)
 
 
 def cmd_sweep(loaded, args):
@@ -339,7 +343,7 @@ def cmd_sweep(loaded, args):
     rows = []
     lines = []
     for value in values:
-        swept = _sweep_contexts(loaded, (i, j), value, args.max_dim)
+        swept = _sweep_contexts(loaded, (i, j), value)
         try:
             out, _ = handler(swept, run_args)
             summary = _sweep_summary(args.run, out)
@@ -379,13 +383,10 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="machine-readable JSON output")
-    common.add_argument("--max-dim", type=int, default=DEFAULT_MAX_DIM,
-                        help="dimension limit (default 12)")
-    common.add_argument("--seeds", type=int, default=reps.DEFAULT_MAX_SEEDS,
+    search = argparse.ArgumentParser(add_help=False)
+    search.add_argument("--seeds", type=int, default=reps.DEFAULT_MAX_SEEDS,
                         help="trial budget for the split search")
-    common.add_argument("--tol", type=float, default=None,
-                        help="ignored; the split search is exact")
-    common.add_argument("--seed", type=int, default=0,
+    search.add_argument("--seed", type=int, default=0,
                         help="base seed for the split search")
 
     parser = argparse.ArgumentParser(
@@ -418,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec"), p.add_argument("f")
     p = sub.add_parser("corner", parents=[common], help="Peirce corner of an idempotent")
     p.add_argument("spec"), p.add_argument("f")
-    p = sub.add_parser("split", parents=[common],
+    p = sub.add_parser("split", parents=[common, search],
                        help="search for an orthogonal idempotent split")
     p.add_argument("spec"), p.add_argument("f")
     p = sub.add_parser("u2", parents=[common],
                        help="solve the number and spin generators (car algebras)")
     p.add_argument("spec")
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[common, search],
                        help="re-run a command over a range of one form entry")
     p.add_argument("spec")
     p.add_argument("--entry", required=True, help="1-based \"i,j\"")
@@ -440,7 +441,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        loaded = load_spec_file(args.spec, max_dim=args.max_dim)
+        loaded = load_spec_file(args.spec)
         out, text = _HANDLERS[args.command](loaded, args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

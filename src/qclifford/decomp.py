@@ -16,7 +16,7 @@ from typing import Optional
 from .clifford import RelationReport, monomial_table, verify_generator_relations
 from .errors import ComputationError, InputError
 from .exterior import Multivector, blade_indices, wedge
-from .forms import DEFAULT_MAX_DIM, FormContext, bivector_from_antisym, split_form
+from .forms import FormContext, bivector_from_antisym, check_dim, split_form
 from .scalars import imag_part, real_part
 
 
@@ -49,7 +49,7 @@ def _restrict(ctx: FormContext, indices) -> FormContext:
     rows = [[ctx.B[i - 1][j - 1] for j in indices] for i in indices]
     if not rows:
         raise InputError("cannot restrict to an empty index set")
-    return split_form(rows, ring=ctx.ring, max_dim=ctx.max_dim)
+    return split_form(rows, ring=ctx.ring)
 
 
 class TensorContext:
@@ -158,19 +158,19 @@ class PeriodicityReport:
         return self.map_report.passed
 
 
-def build_periodicity_map(p: int, q: int,
-                          max_dim: int = DEFAULT_MAX_DIM) -> PeriodicityReport:
+def build_periodicity_map(p: int, q: int) -> PeriodicityReport:
     """Generator assignment realizing Cl(p,q) as the commuting product of a
     Cl(p-1,q-1) image and a hyperbolic Cl(1,1) factor, with its verification."""
     if p < 1 or q < 1:
         raise InputError("periodicity map needs p >= 1 and q >= 1")
     n = p + q
+    check_dim(n)
     g = [[Fraction(0)] * n for _ in range(n)]
     for i in range(p):
         g[i][i] = Fraction(1)
     for i in range(p, n):
         g[i][i] = Fraction(-1)
-    ctx = split_form(g, max_dim=max_dim)
+    ctx = split_form(g)
     split = witt_split(ctx)
     return PeriodicityReport(p, q, split, verify_split_map(ctx, split))
 

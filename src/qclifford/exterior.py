@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ComputationError, ShapeError
-from .scalars import GaussianRational, Scalar, as_scalar, conj
+from .scalars import GaussianRational, Scalar, as_scalar
 
 
 def blade_grade(bits: int) -> int:
@@ -98,9 +98,6 @@ class Multivector:
     def grades(self):
         return sorted({blade_grade(b) for b in self.terms})
 
-    def max_grade(self) -> int:
-        return max((blade_grade(b) for b in self.terms), default=0)
-
     def is_homogeneous(self, k: int) -> bool:
         return all(blade_grade(b) == k for b in self.terms)
 
@@ -128,9 +125,6 @@ class Multivector:
     def coordinates(self):
         """Dense coefficient list over all 2^n blades, ascending bit patterns."""
         return [self.terms.get(b, Fraction(0)) for b in range(1 << self.ctx.dim)]
-
-    def conjugate_coefficients(self) -> "Multivector":
-        return Multivector(self.ctx, {b: conj(c) for b, c in self.terms.items()})
 
     # -- ring structure ----------------------------------------------------
 

@@ -10,10 +10,18 @@ from functools import cached_property
 from . import linalg
 from .errors import (ComputationError, ContextMismatch, DegenerateFormError,
                      DimensionLimitError, ShapeError)
+from .exterior import Multivector, contract_left
 from .scalars import (RING_GAUSSIAN, RING_RATIONAL, GaussianRational, Scalar,
                       as_scalar, imag_part, real_part)
 
-DEFAULT_MAX_DIM = 12
+MAX_DIM = 12
+
+
+def check_dim(n: int):
+    """Refuse an algebra on more than MAX_DIM generators. Constructors call
+    it before they build a matrix of that size."""
+    if n > MAX_DIM:
+        raise DimensionLimitError(f"dimension {n} exceeds the limit {MAX_DIM}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +47,12 @@ class FormContext:
     concurrent fills may compute an entry twice, but store equal values.
     """
 
-    def __init__(self, B, ring: str = RING_RATIONAL, max_dim: int = DEFAULT_MAX_DIM):
+    def __init__(self, B, ring: str = RING_RATIONAL):
         rows = [list(row) for row in B]
         n = len(rows)
         if n == 0 or any(len(row) != n for row in rows):
             raise ShapeError("bilinear form must be a non-empty square matrix")
-        if n > max_dim:
-            raise DimensionLimitError(f"dimension {n} exceeds the limit {max_dim}")
+        check_dim(n)
         if ring not in (RING_RATIONAL, RING_GAUSSIAN):
             raise ShapeError(f"unknown ring {ring!r}")
         entries = [[as_scalar(x) for x in row] for row in rows]
@@ -55,7 +62,6 @@ class FormContext:
             raise ShapeError("complex entries require ring Q(i)")
         self.dim = n
         self.ring = ring
-        self.max_dim = max_dim
         self.B = tuple(tuple(row) for row in entries)
         half = Fraction(1, 2)
         self.g = tuple(
@@ -78,11 +84,9 @@ class FormContext:
     # -- construction helpers -------------------------------------------
 
     def scalar(self, value):
-        from .exterior import Multivector
         return Multivector.from_terms(self, {0: as_scalar(value)})
 
     def zero(self):
-        from .exterior import Multivector
         return Multivector.from_terms(self, {})
 
     def one(self):
@@ -90,14 +94,12 @@ class FormContext:
 
     def e(self, i: int):
         """Generator e_i, 1-based."""
-        from .exterior import Multivector
         if not 1 <= i <= self.dim:
             raise ShapeError(f"generator index {i} out of range 1..{self.dim}")
         return Multivector.from_terms(self, {1 << (i - 1): Fraction(1)})
 
     def blade(self, indices):
         """Wedge blade from an iterable of 1-based indices (or a bitmask)."""
-        from .exterior import Multivector
         if isinstance(indices, int):
             bits = indices
             if bits < 0 or bits >= 1 << self.dim:
@@ -114,7 +116,6 @@ class FormContext:
         return Multivector.from_terms(self, {bits: Fraction(1)})
 
     def vector(self, coords):
-        from .exterior import Multivector
         coords = list(coords)
         if len(coords) != self.dim:
             raise ShapeError(f"expected {self.dim} coordinates, got {len(coords)}")
@@ -145,20 +146,10 @@ class FormContext:
         def build():
             if all(x == 0 for row in self.A for x in row):
                 return self
-            return FormContext(self.g, self.ring, self.max_dim)
+            return FormContext(self.g, self.ring)
         return self.cached("symmetric", build)
 
     # -- form evaluation --------------------------------------------------
-
-    def g_value(self, i: int, j: int) -> Scalar:
-        return self.g[i - 1][j - 1]
-
-    def quadratic(self, coords) -> Scalar:
-        return quadratic(self, coords)
-
-    @cached_property
-    def signature_(self) -> Signature:
-        return signature(self)
 
     @cached_property
     def is_degenerate(self) -> bool:
@@ -168,10 +159,10 @@ class FormContext:
         return f"FormContext(dim={self.dim}, ring={self.ring!r})"
 
 
-def split_form(B, ring: str = RING_RATIONAL, max_dim: int = DEFAULT_MAX_DIM) -> FormContext:
+def split_form(B, ring: str = RING_RATIONAL) -> FormContext:
     """Split a square matrix into its exact symmetric/antisymmetric parts and
     wrap the result as an algebra context."""
-    return FormContext(B, ring=ring, max_dim=max_dim)
+    return FormContext(B, ring=ring)
 
 
 def quadratic(ctx: FormContext, coords) -> Scalar:
@@ -252,8 +243,6 @@ def bivector_from_antisym(ctx: FormContext):
 
     Unique for nondegenerate g; solved exactly and re-verified against A.
     """
-    from .exterior import Multivector, contract_left
-
     if ctx.is_degenerate:
         raise DegenerateFormError(
             "degenerate symmetric part: no Wick bivector exists"

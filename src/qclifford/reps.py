@@ -18,8 +18,8 @@ from typing import Optional
 
 from . import linalg
 from .errors import InputError, ShapeError
-from .exterior import Multivector, blade_grade, blade_indices, reversion_sign
-from .forms import DEFAULT_MAX_DIM, FormContext, split_form
+from .exterior import Multivector, blade_grade, reversion_sign
+from .forms import FormContext, check_dim, split_form
 from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj, gaussian,
                       imag_part, real_part)
 from .textio import format_multivector
@@ -297,15 +297,6 @@ def primitive_decomposition(f: Multivector, seed: int = 0,
 # -- index doubling: CAR algebra and the U(2) model ------------------------
 
 
-def _sort_parity(sequence) -> int:
-    inversions = 0
-    for i in range(len(sequence)):
-        for j in range(i + 1, len(sequence)):
-            if sequence[i] > sequence[j]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
-
-
 @dataclass
 class CarContext:
     """Index-doubled algebra over V ⊕ V*: generators 1..n create, n+1..2n
@@ -328,20 +319,14 @@ class CarContext:
         """Anti-involution: coefficient conjugation, product reversion, and
         the swap creator ↔ annihilator."""
         self.ctx.require_compatible(u.ctx)
+        n = self.n
         terms = {}
         for bits, coeff in u.terms.items():
-            idxs = blade_indices(bits)
-            mapped = [i + self.n if i <= self.n else i - self.n for i in idxs]
-            sign = reversion_sign(len(idxs)) * _sort_parity(mapped)
-            new_bits = 0
-            for i in mapped:
-                new_bits |= 1 << (i - 1)
-            value = conj(coeff) * sign
-            new = terms.get(new_bits, Fraction(0)) + value
-            if new == 0:
-                terms.pop(new_bits, None)
-            else:
-                terms[new_bits] = new
+            created, annihilated = bits & ((1 << n) - 1), bits >> n
+            # each swapped creator now sorts above every swapped annihilator
+            sign = (reversion_sign(blade_grade(bits))
+                    * (-1) ** (blade_grade(created) * blade_grade(annihilated)))
+            terms[(created << n) | annihilated] = conj(coeff) * sign
         return Multivector(self.ctx, terms)
 
     def fock_idempotent(self) -> Multivector:
@@ -351,16 +336,13 @@ class CarContext:
             f = f * (self.annihilator(i) * self.creator(i))
         return f
 
-    def vacuum(self, u: Multivector) -> Scalar:
-        return vacuum_functional(self, u)
 
-
-def build_car(n: int, A_extra=None, ring: str = RING_GAUSSIAN,
-              max_dim: int = DEFAULT_MAX_DIM) -> CarContext:
+def build_car(n: int, A_extra=None, ring: str = RING_GAUSSIAN) -> CarContext:
     """Index-doubled context of dimension 2n with B = ½·hyperbolic + A_extra."""
     if n < 1:
         raise InputError("need at least one mode")
     dim = 2 * n
+    check_dim(dim)
     if A_extra is None:
         A = [[Fraction(0)] * dim for _ in range(dim)]
     else:
@@ -376,7 +358,7 @@ def build_car(n: int, A_extra=None, ring: str = RING_GAUSSIAN,
     for i in range(n):
         B[i][n + i] = B[i][n + i] + half
         B[n + i][i] = B[n + i][i] + half
-    ctx = split_form(B, ring=ring, max_dim=max_dim)
+    ctx = split_form(B, ring=ring)
     return CarContext(ctx=ctx, n=n,
                       A_extra=tuple(tuple(row) for row in A))
 

@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .exterior import Multivector, wedge_sign
+from .exterior import Multivector, blade_indices, wedge_sign
 from .scalars import (RING_GAUSSIAN, GaussianRational, format_scalar, gaussian)
 
 _TOKEN_RE = re.compile(
@@ -219,14 +219,7 @@ def format_blade(bits: int) -> str:
     """Name of the basis blade with bit set `bits`: "Id" or "e1^e3"."""
     if bits == 0:
         return "Id"
-    parts = []
-    i = 1
-    while bits:
-        if bits & 1:
-            parts.append(f"e{i}")
-        bits >>= 1
-        i += 1
-    return "^".join(parts)
+    return "^".join(f"e{i}" for i in blade_indices(bits))
 
 
 def _term_text(bits: int, coeff):

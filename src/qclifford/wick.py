@@ -66,14 +66,8 @@ def dotted_wedge(x: Multivector, u: Multivector) -> Multivector:
     """x∧̇u = x∧u + x⌋A u for a vector x; general left factors act through
     their ∧̇-blade expansion, vectors applied right to left."""
     x.ctx.require_compatible(u.ctx)
-    if x.is_homogeneous(1):
-        return wedge(x, u) + contract_left(x, u, form="A")
-    ctx = x.ctx
-    acc = ctx.zero()
+    acc = x.ctx.zero()
     for bits, coeff in to_dotted_coords(x).items():
-        if bits == 0:
-            acc = acc + u.scale(coeff)
-            continue
         w = u
         for i in reversed(blade_indices(bits)):
             w = _dotted_step(i, w)

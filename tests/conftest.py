@@ -1,13 +1,38 @@
-"""Shared helpers: seeded random generators and independent brute-force
-oracles (list-based, no bit tricks) used to cross-check the kernel."""
+"""Shared helpers: seeded random generators, independent brute-force
+oracles (list-based, no bit tricks) used to cross-check the kernel, and
+child interpreters that import this checkout."""
 
 from __future__ import annotations
 
+import os
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 from qclifford import Multivector, split_form
+
+SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+CHILD_ADDRESS_SPACE = 512 * 1024 * 1024
+
+
+def child_env():
+    """Environment for a child interpreter that imports this checkout."""
+    paths = [SRC, os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
+def run_memory_limited(*args):
+    """Run `python args...` with its address space capped, so that input
+    which slips past a size check fails fast with a MemoryError instead of
+    taking the machine's memory."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS,
+                           (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env(), preexec_fn=cap, timeout=120)
 
 
 def rand_fraction(rng, span=5, max_den=4):

@@ -7,8 +7,9 @@ import pytest
 
 from qclifford.cli import main
 
+from conftest import child_env, run_memory_limited
+
 SPECS = os.path.join(os.path.dirname(__file__), os.pardir, "specs")
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 
 
 def spec(name):
@@ -25,12 +26,6 @@ def write_spec(tmp_path, data, name="algebra.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
-
-
-def child_env():
-    """Environment for a child interpreter that imports this checkout."""
-    paths = [SRC, os.environ.get("PYTHONPATH", "")]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
 
 
 def test_mul_example(capsys):
@@ -230,12 +225,30 @@ def test_spec_round_trip_of_elements(capsys, tmp_path):
         assert parse_multivector(loaded.ctx, text) == element
 
 
-def test_max_dim_flag(capsys, tmp_path):
-    path = write_spec(tmp_path, {
-        "dim": 2, "ring": "Q", "B": [["1", "0"], ["0", "1"]],
-    })
-    code, _, err = run(capsys, "witt", path, "--max-dim", "1")
-    assert code == 2
+def test_oversized_car_is_refused_before_allocating(tmp_path):
+    # 2n = 2000000 generators: a 2n x 2n form would not fit in the child
+    path = write_spec(tmp_path, {"car": {"n": 1000000}})
+    result = run_memory_limited("-m", "qclifford.cli", "witt", path)
+    assert result.returncode == 2, result.stderr
+    assert "exceeds the limit" in result.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["mul", "cl11_a1.json", "e1", "e2", "--seeds", "3"],
+    ["split", "cl13.json", "1", "--tol", "0.5"],
+    ["witt", "cl22_block.json", "--max-dim", "1"],
+])
+def test_removed_and_misplaced_options_exit_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], spec(argv[1]), *argv[2:]])
+    assert exc.value.code == 2
+
+
+def test_split_search_options(capsys):
+    code, out, _ = run(capsys, "split", spec("cl13.json"), "1",
+                       "--seeds", "1", "--seed", "2", "--json")
+    assert code == 0
+    assert json.loads(out)["outcome"] == "split"
 
 
 def test_spec_loader_rejects_booleans(capsys, tmp_path):
@@ -244,14 +257,6 @@ def test_spec_loader_rejects_booleans(capsys, tmp_path):
         code, _, err = run(capsys, "witt", write_spec(tmp_path, data))
         assert code == 2
         assert "integer" in err
-
-
-def test_tol_is_accepted_and_ignored(capsys):
-    # kept so that old command lines still parse; the split search is exact
-    argv = ["split", spec("cl13.json"), "1", "--json"]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert run(capsys, *argv, "--tol", "0.5")[:2] == (code, out)
 
 
 def test_closed_stdout_is_not_an_error():

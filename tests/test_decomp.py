@@ -8,7 +8,7 @@ from qclifford.decomp import (TensorContext, build_periodicity_map, decompose,
                               deformation_commutator_witness, verify_split_map,
                               witt_split)
 
-from conftest import rand_antisymmetric, rand_multivector
+from conftest import rand_antisymmetric, rand_multivector, run_memory_limited
 
 
 def diag_form(*entries):
@@ -49,6 +49,19 @@ def test_periodicity_map_n_factor_signature():
     assert report.split.n_indices == (1, 2)
     assert report.map_report.left_relations.passed
     assert report.map_report.right_relations.passed
+
+
+def test_periodicity_map_refuses_oversized_signature_before_allocating():
+    # a (p+q) x (p+q) form of 10^12 cells would not fit in the child
+    code = ("from qclifford import DimensionLimitError\n"
+            "from qclifford.decomp import build_periodicity_map\n"
+            "try:\n"
+            "    build_periodicity_map(10**6, 1)\n"
+            "except DimensionLimitError as exc:\n"
+            "    print(exc)\n")
+    result = run_memory_limited("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "dimension 1000001 exceeds the limit 12"
 
 
 def test_periodicity_degenerate_case_11():
