@@ -124,7 +124,8 @@ class Multivector:
 
     def coordinates(self):
         """Dense coefficient list over all 2^n blades, ascending bit patterns."""
-        return [self.terms.get(b, Fraction(0)) for b in range(1 << self.ctx.dim)]
+        terms, zero = self.terms, Fraction(0)
+        return [terms.get(b, zero) for b in range(1 << self.ctx.dim)]
 
     # -- ring structure ----------------------------------------------------
 

@@ -1,52 +1,71 @@
 """Exact Gaussian elimination over the rational and Gaussian-rational rings.
 
 Matrices are plain lists of row lists; every routine works field-exactly and
-never mutates its input.
+never mutates its input. One incremental reducer, ``row_space_basis``, does
+all the elimination; ``rref`` and everything built on it go through it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 
+from .errors import ComputationError
 
-def _copy(matrix):
-    return [list(row) for row in matrix]
+
+def row_space_basis(rows, rank=None):
+    """Canonical basis of the row space: the nonzero rows of its reduced
+    row-echelon form, in pivot order.
+
+    ``rows`` may be any iterable of equal-length rows; it is read one row at
+    a time and never mutated. Each row is reduced against the rows kept so
+    far and, when independent, joins them, so the kept rows are always in
+    RREF. Reading stops once ``rank`` rows are kept, or once every column
+    holds a pivot. ``rank`` is the rank of the whole span when known: the
+    rows read are then exactly those up to the rank-th independent one, and
+    running out before it raises ComputationError.
+    """
+    basis, pivots = [], []
+    if rank == 0:
+        return basis
+    for row in rows:
+        for r, c in zip(basis, pivots):
+            f = row[c]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, r)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        pv = row[c]
+        row = [x / pv if x else x for x in row]
+        for i, r in enumerate(basis):
+            f = r[c]
+            if f:
+                basis[i] = [a - f * b if b else a for a, b in zip(r, row)]
+        k = bisect_left(pivots, c)
+        basis.insert(k, row)
+        pivots.insert(k, c)
+        if len(basis) == rank or len(basis) == len(row):
+            break
+    if rank is not None and len(basis) < rank:
+        raise ComputationError(f"internal: the rows span {len(basis)} dimensions, "
+                               f"not the expected {rank}")
+    return basis
 
 
 def rref(matrix):
-    """Reduced row-echelon form. Returns (rows, pivot_columns)."""
-    m = _copy(matrix)
-    if not m:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == n_rows:
-            break
-    return m, pivots
+    """Reduced row-echelon form of a list of rows. Returns (rows,
+    pivot_columns): the rows of row_space_basis, then zero rows."""
+    if not matrix:
+        return [], []
+    basis = row_space_basis(matrix)
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in basis]
+    zeros = [[Fraction(0)] * len(matrix[0]) for _ in range(len(matrix) - len(basis))]
+    return basis + zeros, pivots
 
 
 def rank(matrix) -> int:
     return len(rref(matrix)[1])
-
-
-def row_space_basis(matrix):
-    """Nonzero rows of the RREF: a canonical basis of the row space."""
-    rows, pivots = rref(matrix)
-    return rows[: len(pivots)]
 
 
 def solve(matrix, rhs):

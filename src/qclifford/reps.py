@@ -2,6 +2,15 @@
 Peirce corners, an exact splitting search, and the index-doubled CAR / U(2)
 model.
 
+Ideal and corner dimensions come from the vacuum functional ⟨·⟩^A_0, the
+scalar ∧̇-coordinate. Every multiplication operator has trace
+tr(L_u) = tr(R_u) = 2^n·⟨u⟩^A_0, and right multiplication by an idempotent f
+is a projector onto Cl·f, so dim Cl·f = 2^n·⟨f⟩^A_0. When n is even and g is
+nondegenerate, Cl is central simple and dim f·Cl·f = (dim Cl·f)²/2^n. The
+bases are still found by exact elimination, which stops as soon as it
+reaches the known dimension; only a corner of an algebra with odd n or
+degenerate g has no known dimension and reads every blade.
+
 The splitting search works from the exact minimal polynomial of a corner
 element and its rational roots. Floats appear only as root guesses, each
 kept only when the polynomial vanishes there exactly, so every outcome and
@@ -17,13 +26,13 @@ from math import lcm, prod
 from typing import Optional
 
 from . import linalg
-from .errors import InputError, ShapeError
+from .errors import ComputationError, InputError, ShapeError
 from .exterior import Multivector, blade_grade, reversion_sign
 from .forms import FormContext, check_dim, split_form
 from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj, gaussian,
                       imag_part, real_part)
 from .textio import format_multivector
-from .wick import a_grade_project
+from .wick import a_grade_project, to_dotted_coords
 
 DEFAULT_MAX_SEEDS = 32
 
@@ -45,19 +54,46 @@ class IdealBasis:
     dimension: int
 
 
-def _span(ctx: FormContext, elements) -> list:
+def _ideal_dimension(f: Multivector) -> int:
+    """dim Cl·f = tr(R_f) = 2^n·⟨f⟩^A_0 for an idempotent f."""
+    size = 1 << f.ctx.dim
+    value = size * to_dotted_coords(f).get(0, Fraction(0))
+    if not (isinstance(value, Fraction) and value.denominator == 1
+            and 0 <= value <= size):
+        raise ComputationError(f"internal: trace {value} of an idempotent is "
+                               f"not an integer in [0, {size}]")
+    return int(value)
+
+
+def _corner_dimension(f: Multivector) -> Optional[int]:
+    """dim f·Cl·f = (dim Cl·f)²/2^n when Cl is central simple (n even, g
+    nondegenerate); None otherwise."""
+    ctx = f.ctx
+    if ctx.dim % 2 or ctx.is_degenerate:
+        return None
+    dimension, rest = divmod(_ideal_dimension(f) ** 2, 1 << ctx.dim)
+    if rest:
+        raise ComputationError("internal: corner dimension is not an integer")
+    return dimension
+
+
+def _span(ctx: FormContext, elements, rank: Optional[int]) -> list:
     """Canonical basis of the span of elements: the nonzero rows of the
-    exact RREF of their coordinates, rebuilt as multivectors."""
-    rows = linalg.row_space_basis([u.coordinates() for u in elements])
+    exact RREF of their coordinates, rebuilt as multivectors. Elements are
+    read lazily, and no further once the known rank is reached."""
+    rows = linalg.row_space_basis((u.coordinates() for u in elements), rank)
     return [Multivector.from_terms(ctx, {b: c for b, c in enumerate(row) if c != 0})
             for row in rows]
 
 
 def left_ideal(f: Multivector) -> IdealBasis:
-    """Span of {blade·f} over all blades, reduced by exact elimination."""
+    """Span of {blade·f}, blades in ascending order, reduced by exact
+    elimination. The dimension is known beforehand, dim Cl·f = 2^n·⟨f⟩^A_0,
+    so the products stop once that many are independent."""
     _require_idempotent(f)
     ctx = f.ctx
-    basis = _span(ctx, [ctx.blade(bits) * f for bits in ctx.basis_blades()])
+    basis = _span(ctx, (ctx.blade(bits) * f for bits in ctx.basis_blades()),
+                  _ideal_dimension(f))
     return IdealBasis(idempotent=f, basis=basis, dimension=len(basis))
 
 
@@ -75,10 +111,15 @@ class CornerBasis:
 
 
 def peirce_corner(f: Multivector) -> CornerBasis:
-    """Span of {f·blade·f} over all blades, reduced by exact elimination."""
+    """Span of {f·blade·f}, blades in ascending order, reduced by exact
+    elimination. For even n and nondegenerate g, Cl is central simple and
+    dim f·Cl·f = (dim Cl·f)²/2^n with dim Cl·f = 2^n·⟨f⟩^A_0, so the
+    products stop once that many are independent; a primitive f stops after
+    f·1·f = f. For odd n or degenerate g every blade is read."""
     _require_idempotent(f)
     ctx = f.ctx
-    basis = _span(ctx, [f * ctx.blade(bits) * f for bits in ctx.basis_blades()])
+    basis = _span(ctx, (f * ctx.blade(bits) * f for bits in ctx.basis_blades()),
+                  _corner_dimension(f))
     return CornerBasis(idempotent=f, basis=basis, dimension=len(basis))
 
 
@@ -158,11 +199,33 @@ _ROOT_ITERATIONS = 100
 _NEWTON_STEPS = 4
 
 
+def _root_scale(m) -> int:
+    """Exponent s of the substitution x = 2^s·y that brings the roots of the
+    monic m near 1: 0 while every nonzero coefficient is a nonzero float,
+    else the largest bit-length estimate log2|a_(d−k)|/k of a root size."""
+    parts = [p for a in m for p in (real_part(a), imag_part(a)) if p != 0]
+    try:
+        if all(float(p) != 0 for p in parts):
+            return 0
+    except OverflowError:
+        pass
+    d = len(m) - 1
+    return max((p.numerator.bit_length() - p.denominator.bit_length()) // k
+               for k in range(1, d + 1)
+               for p in (real_part(m[d - k]), imag_part(m[d - k])) if p != 0)
+
+
 def _approximate_roots(m):
     """Durand–Kerner guesses at all complex roots of the monic m, in floats
-    with a fixed iteration count. Raises OverflowError for huge coefficients."""
-    coeffs = [complex(float(real_part(a)), float(imag_part(a))) for a in m]
+    with a fixed iteration count. Returns (s, guesses): each guess
+    approximates a root of m(2^s·y)/2^(s·d), so 2^s·guess approximates a
+    root of m (see _root_scale). Raises OverflowError when a scaled
+    coefficient still lies beyond the float range."""
     d = len(m) - 1
+    s = _root_scale(m)
+    if s:
+        m = [a * Fraction(2) ** (s * (k - d)) for k, a in enumerate(m)]
+    coeffs = [complex(float(real_part(a)), float(imag_part(a))) for a in m]
     radius = 2 * max(abs(coeffs[d - k]) ** (1 / k) for k in range(1, d + 1))
     z = [radius * (0.4 + 0.9j) ** k for k in range(d)]
     for _ in range(_ROOT_ITERATIONS):
@@ -170,7 +233,7 @@ def _approximate_roots(m):
             denom = prod(z[i] - z[j] for j in range(d) if j != i)
             if denom != 0:
                 z[i] -= _divide_linear(coeffs, z[i])[1] / denom
-    return z
+    return s, z
 
 
 def _rational_roots(m):
@@ -178,21 +241,25 @@ def _rational_roots(m):
 
     With D the common denominator of Re(m), y = D·x makes Re(m) a monic
     integer polynomial, so a rational root is y/D for an integer y. Each
-    float guess is rounded to y and refined by Newton steps; y/D is kept
-    only when m vanishes there exactly."""
+    float guess is scaled back by 2^s exactly, rounded to y and refined by
+    Newton steps; y/D is kept only when m vanishes there exactly. Roots
+    beyond the float range are reached this way too."""
     re = [real_part(a) for a in m]
     D = lcm(*(a.denominator for a in re))
     roots = set()
     try:
-        guesses = _approximate_roots(m)
+        s, guesses = _approximate_roots(m)
     except OverflowError:
         return []
     for z in guesses:
         try:
-            y = round(D * z.real)
+            y = round(D * Fraction(z.real) * Fraction(2) ** s)
         except (OverflowError, ValueError):  # the guess is not finite
             continue
-        for _ in range(_NEWTON_STEPS):
+        # each step doubles the 53 correct bits of the float guess, so a
+        # y longer than 53·2^4 bits needs more than the usual four steps
+        steps = max(_NEWTON_STEPS, ((abs(y).bit_length() - 1) // 53).bit_length())
+        for _ in range(steps):
             x = Fraction(y, D)
             q, value = _divide_linear(re, x)
             slope = _divide_linear(q, x)[1]
@@ -202,6 +269,14 @@ def _rational_roots(m):
         if _divide_linear(m, Fraction(y, D))[1] == 0:
             roots.add(Fraction(y, D))
     return sorted(roots)
+
+
+def _rounded(x: Fraction):
+    """x to 9 decimals, or its exact text when it lies beyond the float range."""
+    try:
+        return round(float(x), 9)
+    except OverflowError:
+        return str(x)
 
 
 @dataclass
@@ -237,8 +312,8 @@ def corner_split_search(f: Multivector, seed: int = 0,
         powers, m = _krylov(c, f)
         single = _power_of_linear(m)
         roots = [single] if single is not None else _rational_roots(m)
-        entry["eigenvalues"] = [[round(float(real_part(lam)), 9),
-                                 round(float(imag_part(lam)), 9)] for lam in roots]
+        entry["eigenvalues"] = [[_rounded(real_part(lam)), _rounded(imag_part(lam))]
+                                for lam in roots]
         if single is not None:
             entry["result"] = "single-eigenvalue"
             continue

@@ -1,16 +1,20 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from qclifford import InputError, inverse, split_form
+from qclifford import (ComputationError, InputError, inverse, linalg,
+                       regular_representation, split_form)
+from qclifford import reps
 from qclifford.reps import (build_car, corner_split_search, deformed_probe,
                             is_idempotent, left_ideal, peirce_corner,
                             primitive_decomposition, solve_u2_generators,
                             vacuum_functional)
 from qclifford.scalars import gaussian
+from qclifford.wick import a_grade_project
 
-from conftest import rand_multivector
+from conftest import rand_antisymmetric, rand_form, rand_multivector
 
 
 def cl11():
@@ -65,6 +69,68 @@ def test_peirce_corner_examples():
 
     f22 = cl22().parse("1/2 + 1/2*e1")
     assert peirce_corner(f22).dimension == 4
+
+
+@pytest.mark.parametrize("ring", ["Q", "Q(i)"])
+def test_trace_of_regular_representation_is_the_vacuum_functional(ring):
+    # tr(L_u) = 2^n·<u>^A_0, the scalar ∧̇-coordinate, for every u
+    rng = random.Random(70)
+    i = gaussian(0, 1)
+    for n in (2, 3, 4):
+        for _ in range(2):
+            ctx = rand_form(rng, n, ring=ring)
+            u = rand_multivector(rng, ctx, 6)
+            if ring == "Q(i)":
+                u = u + rand_multivector(rng, ctx, 6).scale(i)
+            matrix = regular_representation(u)
+            trace = sum(matrix[k][k] for k in range(1 << n))
+            assert trace == (1 << n) * a_grade_project(u, 0).scalar_part()
+
+
+def _dimension_contexts():
+    g = [1, -1, 1, -1]
+    A = rand_antisymmetric(random.Random(71), 4)
+    deformed = [[A[i][j] + (g[i] if i == j else 0) for j in range(4)] for i in range(4)]
+    yield split_form(deformed)                                # n = 4, M_4(Q)
+    yield rand_form(random.Random(1002), 2)                   # n = 2
+    yield rand_form(random.Random(1001), 4)                   # n = 4, corners of dim 4
+    yield build_car(2, rand_antisymmetric(random.Random(72), 4)).ctx  # over Q(i)
+    yield rand_form(random.Random(1006), 3)                   # odd n
+    yield split_form([[1, 1, 0, 0], [-1, -1, 0, Fraction(1, 3)],  # degenerate g
+                      [0, 0, 1, 0], [0, Fraction(-1, 3), 0, 0]])
+
+
+@pytest.mark.parametrize("ctx", list(_dimension_contexts()),
+                         ids=["deformed22", "rand2", "rand4", "car2", "odd3", "degenerate4"])
+def test_trace_dimensions_match_full_elimination(ctx):
+    # the leaves of the decomposition and sums of two of them: the trace
+    # dimensions equal the ranks of all 2^n products
+    decomposition = primitive_decomposition(ctx.one())
+    leaves = decomposition.primitives + decomposition.unresolved
+    assert len(leaves) >= 2
+    central_simple = ctx.dim % 2 == 0 and not ctx.is_degenerate
+    blades = [ctx.blade(bits) for bits in ctx.basis_blades()]
+    for f in leaves + [a + b for a, b in combinations(leaves, 2)]:
+        assert is_idempotent(f)
+        ideal_rank = linalg.rank([(b * f).coordinates() for b in blades])
+        corner_rank = linalg.rank([(f * b * f).coordinates() for b in blades])
+        assert reps._ideal_dimension(f) == ideal_rank == left_ideal(f).dimension
+        assert peirce_corner(f).dimension == corner_rank
+        if central_simple:
+            assert reps._corner_dimension(f) == corner_rank
+        else:
+            assert reps._corner_dimension(f) is None
+
+
+def test_known_rank_not_reached_is_an_internal_error(monkeypatch):
+    f = cl22().parse("1/2 + 1/2*e1")
+    ideal, corner = reps._ideal_dimension(f), reps._corner_dimension(f)
+    monkeypatch.setattr(reps, "_ideal_dimension", lambda g: ideal + 1)
+    with pytest.raises(ComputationError, match="internal"):
+        left_ideal(f)
+    monkeypatch.setattr(reps, "_corner_dimension", lambda g: corner + 1)
+    with pytest.raises(ComputationError, match="internal"):
+        peirce_corner(f)
 
 
 def test_corner_split_search_unit_cl11():
@@ -141,6 +207,32 @@ def test_split_search_separates_tiny_eigenvalues(square, part):
     result = corner_split_search(ctx.one())
     assert result.outcome == "split"
     assert str(result.first) == part
+    p = result.first
+    assert p * p == p and p + result.second == ctx.one()
+
+
+def test_split_search_reaches_roots_below_the_float_range():
+    # f has corner elements with minimal polynomial x² − ε, ε ≈ 10⁻⁴⁰⁰ a
+    # rational square that underflows to 0.0 as a float
+    t = Fraction(10) ** 200
+    ctx = cl22()
+    f = (ctx.one().scale(Fraction(1, 2)) + ctx.e(1).scale((t + 1 / (4 * t)) / 2)
+         + ctx.e(2).scale((t - 1 / (4 * t)) / 2))
+    assert is_idempotent(f)
+    result = corner_split_search(f)
+    assert result.outcome == "split"
+    assert result.trials[0]["result"] == "split-found"
+    p = result.first
+    assert p * p == p and f * p == p and p * f == p and p + result.second == f
+
+
+def test_split_search_reaches_roots_above_the_float_range():
+    # e1² = 10⁸⁰⁰: the eigenvalues ±10⁴⁰⁰ are reported as exact text
+    root = 10 ** 400
+    ctx = split_form([[root * root, 0], [0, -1]])
+    result = corner_split_search(ctx.one())
+    assert result.outcome == "split"
+    assert result.trials[0]["eigenvalues"] == [[str(-root), 0.0], [str(root), 0.0]]
     p = result.first
     assert p * p == p and p + result.second == ctx.one()
 
