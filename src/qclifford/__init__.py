@@ -14,8 +14,9 @@ from .clifford import (MonomialTable, RelationReport, clifford_apply_generator,
                        regular_representation, verify_generator_relations)
 from .wick import (GradingVerdict, WickData, WickIdentityReport,
                    a_grade_project, dotted_blade, dotted_wedge, grading_witness,
-                   outer_exp, to_dotted_coords, verify_wick_identities,
-                   wick_data, wick_transport, wick_transport_inverse)
+                   outer_exp, to_dotted_coords, vacuum_functional,
+                   verify_wick_identities, wick_data, wick_transport,
+                   wick_transport_inverse)
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -116,7 +116,7 @@ def load_spec_file(path: str) -> LoadedSpec:
             data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise InputError(f"invalid JSON in {path}: {exc}") from exc
     return load_spec_data(data, path=path)
 

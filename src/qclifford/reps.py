@@ -12,9 +12,9 @@ reaches the known dimension; only a corner of an algebra with odd n or
 degenerate g has no known dimension and reads every blade.
 
 The splitting search works from the exact minimal polynomial of a corner
-element and its rational roots. Floats appear only as root guesses, each
-kept only when the polynomial vanishes there exactly, so every outcome and
-every certificate is decided in exact arithmetic.
+element and its rational roots, all of them, isolated by Sturm sequences
+(`poly.rational_roots`). No float is used: every outcome and every
+certificate is decided in exact arithmetic.
 """
 
 from __future__ import annotations
@@ -22,17 +22,16 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm, prod
 from typing import Optional
 
-from . import linalg
+from . import linalg, poly
 from .errors import ComputationError, InputError, ShapeError
 from .exterior import Multivector, blade_grade, reversion_sign
 from .forms import FormContext, check_dim, split_form
-from .scalars import (RING_GAUSSIAN, Scalar, as_scalar, conj, gaussian,
+from .scalars import (RING_GAUSSIAN, as_scalar, conj, format_scalar, gaussian,
                       imag_part, real_part)
 from .textio import format_multivector
-from .wick import a_grade_project, to_dotted_coords
+from .wick import vacuum_functional
 
 DEFAULT_MAX_SEEDS = 32
 
@@ -57,7 +56,7 @@ class IdealBasis:
 def _ideal_dimension(f: Multivector) -> int:
     """dim Cl·f = tr(R_f) = 2^n·⟨f⟩^A_0 for an idempotent f."""
     size = 1 << f.ctx.dim
-    value = size * to_dotted_coords(f).get(0, Fraction(0))
+    value = size * vacuum_functional(f)
     if not (isinstance(value, Fraction) and value.denominator == 1
             and 0 <= value <= size):
         raise ComputationError(f"internal: trace {value} of an idempotent is "
@@ -175,110 +174,6 @@ def _krylov(c: Multivector, f: Multivector):
         rows.append(row)
 
 
-def _divide_linear(poly, lam):
-    """Quotient and remainder poly(λ) of poly (coefficients low to high) by
-    x − λ, by synthetic division."""
-    acc, quotient = 0, []
-    for a in reversed(poly):
-        acc = acc * lam + a
-        quotient.append(acc)
-    remainder = quotient.pop()
-    return quotient[::-1], remainder
-
-
-def _power_of_linear(m):
-    """λ when m = (x − λ)^d exactly, else None."""
-    lam = -m[-2] / (len(m) - 1)
-    q = [Fraction(1)]
-    while len(q) < len(m):
-        q = [a - lam * b for a, b in zip([0] + q, q + [0])]
-    return lam if q == m else None
-
-
-_ROOT_ITERATIONS = 100
-_NEWTON_STEPS = 4
-
-
-def _root_scale(m) -> int:
-    """Exponent s of the substitution x = 2^s·y that brings the roots of the
-    monic m near 1: 0 while every nonzero coefficient is a nonzero float,
-    else the largest bit-length estimate log2|a_(d−k)|/k of a root size."""
-    parts = [p for a in m for p in (real_part(a), imag_part(a)) if p != 0]
-    try:
-        if all(float(p) != 0 for p in parts):
-            return 0
-    except OverflowError:
-        pass
-    d = len(m) - 1
-    return max((p.numerator.bit_length() - p.denominator.bit_length()) // k
-               for k in range(1, d + 1)
-               for p in (real_part(m[d - k]), imag_part(m[d - k])) if p != 0)
-
-
-def _approximate_roots(m):
-    """Durand–Kerner guesses at all complex roots of the monic m, in floats
-    with a fixed iteration count. Returns (s, guesses): each guess
-    approximates a root of m(2^s·y)/2^(s·d), so 2^s·guess approximates a
-    root of m (see _root_scale). Raises OverflowError when a scaled
-    coefficient still lies beyond the float range."""
-    d = len(m) - 1
-    s = _root_scale(m)
-    if s:
-        m = [a * Fraction(2) ** (s * (k - d)) for k, a in enumerate(m)]
-    coeffs = [complex(float(real_part(a)), float(imag_part(a))) for a in m]
-    radius = 2 * max(abs(coeffs[d - k]) ** (1 / k) for k in range(1, d + 1))
-    z = [radius * (0.4 + 0.9j) ** k for k in range(d)]
-    for _ in range(_ROOT_ITERATIONS):
-        for i in range(d):
-            denom = prod(z[i] - z[j] for j in range(d) if j != i)
-            if denom != 0:
-                z[i] -= _divide_linear(coeffs, z[i])[1] / denom
-    return s, z
-
-
-def _rational_roots(m):
-    """Distinct rational roots of the monic m, ascending.
-
-    With D the common denominator of Re(m), y = D·x makes Re(m) a monic
-    integer polynomial, so a rational root is y/D for an integer y. Each
-    float guess is scaled back by 2^s exactly, rounded to y and refined by
-    Newton steps; y/D is kept only when m vanishes there exactly. Roots
-    beyond the float range are reached this way too."""
-    re = [real_part(a) for a in m]
-    D = lcm(*(a.denominator for a in re))
-    roots = set()
-    try:
-        s, guesses = _approximate_roots(m)
-    except OverflowError:
-        return []
-    for z in guesses:
-        try:
-            y = round(D * Fraction(z.real) * Fraction(2) ** s)
-        except (OverflowError, ValueError):  # the guess is not finite
-            continue
-        # each step doubles the 53 correct bits of the float guess, so a
-        # y longer than 53·2^4 bits needs more than the usual four steps
-        steps = max(_NEWTON_STEPS, ((abs(y).bit_length() - 1) // 53).bit_length())
-        for _ in range(steps):
-            x = Fraction(y, D)
-            q, value = _divide_linear(re, x)
-            slope = _divide_linear(q, x)[1]
-            if value == 0 or slope == 0:
-                break
-            y = round(D * (x - value / slope))
-        if _divide_linear(m, Fraction(y, D))[1] == 0:
-            roots.add(Fraction(y, D))
-    return sorted(roots)
-
-
-def _rounded(x: Fraction):
-    """x to 9 decimals, or its exact text when it lies beyond the float range."""
-    try:
-        return round(float(x), 9)
-    except OverflowError:
-        return str(x)
-
-
 @dataclass
 class SplitSearchResult:
     outcome: str  # "primitive" | "split" | "no-split-found"
@@ -294,12 +189,16 @@ def corner_split_search(f: Multivector, seed: int = 0,
     Peirce corner.
 
     Strategy: for each trial corner element c, the exact minimal polynomial
-    m (Krylov sequence f, c, c², …) and its rational roots; for a simple root
-    λ, the spectral idempotent p = r(c)/r(λ) with r = m/(x−λ), verified
-    exactly: p·p = p, f·p = p·f = p. Returns the first certified split;
-    "no-split-found" is an inconclusive outcome, distinct from a primitivity
-    certificate (corner dimension 1).
+    m (Krylov sequence f, c, c², …) and all of its rational roots, isolated
+    by Sturm sequences and checked by m(λ) = 0; each trial lists them as
+    exact text. For a simple root λ, the spectral idempotent p = r(c)/r(λ)
+    with r = m/(x−λ) is verified exactly: p·p = p, f·p = p·f = p. Returns
+    the first certified split; "no-split-found" is an inconclusive outcome,
+    distinct from a primitivity certificate (corner dimension 1). The zero
+    idempotent has no corner to search and is refused.
     """
+    if f.is_zero():
+        raise InputError("the zero idempotent has no split")
     corner = peirce_corner(f)
     if corner.dimension == 1:
         return SplitSearchResult(outcome="primitive", corner_dimension=1)
@@ -310,17 +209,16 @@ def corner_split_search(f: Multivector, seed: int = 0,
                  "element": format_multivector(c)}
         trials.append(entry)
         powers, m = _krylov(c, f)
-        single = _power_of_linear(m)
-        roots = [single] if single is not None else _rational_roots(m)
-        entry["eigenvalues"] = [[_rounded(real_part(lam)), _rounded(imag_part(lam))]
-                                for lam in roots]
+        single = poly.power_of_linear(m)
+        roots = [single] if single is not None else poly.rational_roots(m)
+        entry["eigenvalues"] = [format_scalar(lam) for lam in roots]
         if single is not None:
             entry["result"] = "single-eigenvalue"
             continue
         entry["result"] = "no-rational-projection"
         for lam in roots:
-            r = _divide_linear(m, lam)[0]
-            scale = _divide_linear(r, lam)[1]
+            r = poly.divide_linear(m, lam)[0]
+            scale = poly.divide_linear(r, lam)[1]
             if scale == 0:  # multiple root: no spectral idempotent from r
                 continue
             p = f.ctx.zero()
@@ -436,11 +334,6 @@ def build_car(n: int, A_extra=None, ring: str = RING_GAUSSIAN) -> CarContext:
     ctx = split_form(B, ring=ring)
     return CarContext(ctx=ctx, n=n,
                       A_extra=tuple(tuple(row) for row in A))
-
-
-def vacuum_functional(car: CarContext, u: Multivector) -> Scalar:
-    """<u>^A_0: scalar coefficient of the A-graded projection; <1> = 1."""
-    return a_grade_project(u, 0).scalar_part()
 
 
 # -- the U(2) generator solve ----------------------------------------------
@@ -573,62 +466,3 @@ def solve_u2_generators(car: CarContext) -> U2Solution:
     status = "solved" if all(checks.values()) else "verification-failed"
     return U2Solution(status=status, N=N, S=S,
                       shift_dimension=shift_dim or 0, checks=checks)
-
-
-# -- deformed-algebra probe --------------------------------------------------
-
-
-def deformed_probe(ctx: FormContext, reference_dimension: int = 8,
-                   seed: int = 0, max_seeds: int = DEFAULT_MAX_SEEDS) -> dict:
-    """Run the idempotent → ideal rank → corner → split-search pipeline from
-    the unit and emit a verdict transcript.
-
-    The reference value is recorded next to whatever the computation finds;
-    disagreement is surfaced in the transcript, never silently dropped.
-    """
-    transcript = {
-        "regular_representation_dimension": 1 << ctx.dim,
-        "reference_dimension": reference_dimension,
-    }
-    first = corner_split_search(ctx.one(), seed=seed, max_seeds=max_seeds)
-    transcript["unit_split_outcome"] = first.outcome
-    if first.outcome != "split":
-        transcript["status"] = "no-idempotent-found"
-        transcript["matches_reference"] = False
-        transcript["notes"] = [
-            "no nontrivial idempotent was certified from the unit"
-        ]
-        return transcript
-    f = first.first
-    ideal = left_ideal(f)
-    corner = peirce_corner(f)
-    further = corner_split_search(f, seed=seed, max_seeds=max_seeds)
-    transcript.update({
-        "status": "completed",
-        "idempotent": format_multivector(f),
-        "idempotent_verified": is_idempotent(f),
-        "ideal_dimension": ideal.dimension,
-        "corner_dimension": corner.dimension,
-        "split_outcome": further.outcome,
-        "irreducible_under_rational_search": further.outcome != "split",
-        "matches_reference": ideal.dimension == reference_dimension
-        and further.outcome != "split",
-    })
-    notes = []
-    if ideal.dimension != reference_dimension:
-        notes.append(
-            f"ideal dimension {ideal.dimension} differs from the recorded "
-            f"reference {reference_dimension}"
-        )
-    if further.outcome == "split":
-        notes.append(
-            "the ideal decomposes further under the rational split search, "
-            "contradicting irreducibility at this parameter point"
-        )
-    if further.outcome == "no-split-found":
-        notes.append(
-            "split search inconclusive: no certificate either way beyond the "
-            "corner dimension"
-        )
-    transcript["notes"] = notes
-    return transcript

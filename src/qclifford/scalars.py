@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import re as _re
+import sys as _sys
 from fractions import Fraction
 from typing import Union
+
+from .errors import ComputationError
 
 
 class GaussianRational:
@@ -179,8 +182,17 @@ def format_scalar(value: Scalar) -> str:
     """Render a scalar in the multivector text syntax.
 
     Pure rationals print as p/q; pure imaginaries as "p/qi"; mixed values in
-    parentheses, e.g. "(1/2-3/4i)".
+    parentheses, e.g. "(1/2-3/4i)". A part with more digits than the
+    interpreter converts to text raises ComputationError.
     """
+    try:
+        return _scalar_text(value)
+    except ValueError:
+        raise ComputationError("coefficient too long to print (over "
+                               f"{_sys.get_int_max_str_digits()} digits)") from None
+
+
+def _scalar_text(value: Scalar) -> str:
     if isinstance(value, GaussianRational) and value.im != 0:
         if value.re == 0:
             if value.im == 1:

@@ -64,6 +64,13 @@ class _Parser:
     def fail(self, message):
         raise ParseError(message, position=self.peek()[2])
 
+    def integer(self, digits, at):
+        try:
+            return int(digits)
+        except ValueError:  # beyond the interpreter's int-to-str digit limit
+            raise ParseError(f"integer of {len(digits)} digits is too long",
+                             position=at) from None
+
     # -- grammar ----------------------------------------------------------
 
     def multivector(self):
@@ -166,16 +173,17 @@ class _Parser:
         kind, value, at = self.next()
         if kind != "number":
             raise ParseError(f"expected a number, found {_show(value)}", position=at)
-        numerator = int(value)
+        numerator = self.integer(value, at)
         kind, value, _ = self.peek()
         if kind == "punct" and value == "/":
             self.next()
             k, v, at = self.next()
             if k != "number":
                 raise ParseError(f"expected a denominator, found {_show(v)}", position=at)
-            if int(v) == 0:
+            denominator = self.integer(v, at)
+            if denominator == 0:
                 raise ParseError("zero denominator", position=at)
-            return Fraction(numerator, int(v))
+            return Fraction(numerator, denominator)
         return Fraction(numerator)
 
     def blade(self):
@@ -187,7 +195,7 @@ class _Parser:
         sign = 1
         bits = 0
         while True:
-            index = int(value[1:])
+            index = self.integer(value[1:], at)
             if not 1 <= index <= self.ctx.dim:
                 raise ParseError(
                     f"index {index} out of range 1..{self.ctx.dim}", position=at
@@ -237,10 +245,10 @@ def _term_text(bits: int, coeff):
     negative = coeff < 0
     mag = -coeff if negative else coeff
     if bits == 0:
-        return negative, str(mag)
+        return negative, format_scalar(mag)
     if mag == 1:
         return negative, format_blade(bits)
-    return negative, f"{mag}*{format_blade(bits)}"
+    return negative, f"{format_scalar(mag)}*{format_blade(bits)}"
 
 
 def format_multivector(u: Multivector) -> str:

@@ -209,6 +209,51 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+LONG = "7" * 5000  # past the interpreter's 4300-digit int-to-str limit
+
+
+@pytest.mark.parametrize("text", [f"{LONG}*e1", f"e{LONG}", f"1/{LONG}"],
+                         ids=["coefficient", "blade-index", "denominator"])
+def test_overlong_integer_literals_exit_2(capsys, text):
+    code, _, err = run(capsys, "mul", spec("cl13.json"), text, "1")
+    assert code == 2
+    assert "input error: integer of 5000 digits is too long" in err
+
+
+def test_overlong_integer_in_spec_json_exits_2(capsys, tmp_path):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": 1, "B": [[%s]]}' % LONG)
+    code, _, err = run(capsys, "mul", str(path), "e1", "e1")
+    assert code == 2 and err.startswith("input error: invalid JSON")
+
+
+def test_result_too_long_to_print_exits_1(capsys):
+    power = "1" + "0" * 3000
+    code, out, err = run(capsys, "mul", spec("cl13.json"), f"{power}*e1", f"{power}*e1")
+    assert (code, out) == (1, "")
+    assert err.startswith("computational error: coefficient too long to print")
+
+
+def test_zero_idempotent_is_refused():
+    # the corner of 0 is empty; the search used to loop over zero trial
+    # elements forever, so each case runs in a child with a timeout
+    script = ("from qclifford import InputError, split_form\n"
+              "from qclifford.reps import primitive_decomposition\n"
+              "try:\n"
+              "    primitive_decomposition(split_form([[1, 0], [0, -1]]).zero())\n"
+              "except InputError as exc:\n"
+              "    print(exc)\n")
+    cases = [["-m", "qclifford.cli", "split", spec("cl13.json"), "0"],
+             ["-m", "qclifford.cli", "sweep", spec("cl11_a0.json"), "--entry", "1,2",
+              "--values", "0", "--run", "split", "--element", "0"],
+             ["-c", script]]
+    for argv in cases:
+        result = subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                                env=child_env(), timeout=5)
+        assert "the zero idempotent has no split" in result.stdout + result.stderr
+        assert result.returncode == (0 if argv[0] == "-c" else 2)
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnицate"])
