@@ -8,34 +8,65 @@ lowest index of I and I' = I∖{i}, e_i∧e_I' = e_i·e_I' − e_i⌋B e_I' give
 
 where pos(j) counts the indices of I' below j. Every pair, and every
 smaller pair the recursion reaches, is kept in the context's pair cache.
+
+The recursion runs over integers. With d the lcm of the denominators of B
+(of both parts of each entry over Q(i)), it uses B̃ = d²·B in place of B, and
+the cached terms of e_I·e_J are then d^(|I|+|J|−|K|) times the true
+coefficient of e_K: the wedge step keeps |I|+|J|−|K|, a contraction step
+raises it by 2. The exponent is an integer since |K| ≡ |I|+|J| (mod 2). A
+product maps u_I to L_u·u_I·d^(n−|I|), L_u the common denominator of u, and
+v alike, so the sum over the blade pairs is L_u·L_v·d^(2n−|K|) times the
+coefficient of e_K; one division per output term recovers it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from . import linalg
 from .errors import ComputationError, ShapeError
-from .exterior import Multivector, UnitriangularBasis, _vector_contract, add_scaled
+from .exterior import Multivector, UnitriangularBasis
+from .scalars import GaussianRational, gaussian
 
 
-def _apply_generator(i: int, terms: dict, B) -> dict:
-    """L_i on a term dict, as a fresh dict."""
-    low = 1 << (i - 1)
-    below = low - 1
-    wedged = {bits | low: -c if (bits & below).bit_count() & 1 else c
-              for bits, c in terms.items() if not bits & low}
-    return add_scaled(_vector_contract(i, terms, B), wedged)
+class GaussianInteger:
+    """re + im·i with int parts: the kernel's integer type over Q(i). It
+    mixes with int and never leaves the kernel."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: int, im: int):
+        self.re = re
+        self.im = im
+
+    def __add__(self, other):
+        if other.__class__ is int:
+            return GaussianInteger(self.re + other, self.im)
+        return GaussianInteger(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianInteger(-self.re, -self.im)
+
+    def __mul__(self, other):
+        if other.__class__ is int:
+            return GaussianInteger(self.re * other, self.im * other)
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return GaussianInteger(a * c - b * d, a * d + b * c)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re or self.im)
 
 
 def clifford_apply_generator(i: int, u: Multivector) -> Multivector:
-    """L_i(u) = e_i⌋B u + e_i∧u; applying it twice scales by Q(e_i)."""
-    ctx = u.ctx
-    if not 1 <= i <= ctx.dim:
-        raise ShapeError(f"generator index {i} out of range 1..{ctx.dim}")
-    return Multivector(ctx, _apply_generator(i, u.terms, ctx.B))
+    """L_i(u) = e_i⌋B u + e_i∧u = e_i·u; applying it twice scales by Q(e_i)."""
+    return u.ctx.e(i) * u
 
 
 class MonomialTable(UnitriangularBasis):
@@ -57,34 +88,105 @@ def monomial_table(ctx) -> MonomialTable:
     return ctx.cached("monomial_table", lambda: MonomialTable(ctx))
 
 
-def _pair_product(pairs: dict, B, left: int, right: int) -> dict:
-    """Terms of e_left·e_right by the recursion above; read-only once cached."""
+def _denominator(x) -> int:
+    """The lcm of the denominators of a scalar's parts."""
+    if x.__class__ is GaussianRational:
+        return lcm(x.re.denominator, x.im.denominator)
+    return x.denominator
+
+
+def _integral(x):
+    """A scalar with integer parts as an int or a GaussianInteger."""
+    if x.__class__ is GaussianRational:
+        return GaussianInteger(x.re.numerator, x.im.numerator)
+    return x.numerator
+
+
+def _integer_form(ctx):
+    """(rows, powers): rows[i] lists (bit, bits below it, B̃_ij) over the
+    nonzero entries of row i of B̃ = d²·B, and powers[k] = d^k for k ≤ 2n."""
+    def build():
+        d = lcm(*(_denominator(x) for row in ctx.B for x in row))
+        rows = [[(1 << j, (1 << j) - 1, _integral(x * (d * d)))
+                 for j, x in enumerate(row) if x] for row in ctx.B]
+        return rows, [d ** k for k in range(2 * ctx.dim + 1)]
+    return ctx.cached("integer_form", build)
+
+
+def _pair_product(pairs: dict, rows, left: int, right: int) -> dict:
+    """Integer terms of e_left·e_right, scaled as in the module docstring,
+    by the recursion above; read-only once cached."""
     key = (left, right)
     terms = pairs.get(key)
     if terms is None:
         if left == 0:
-            terms = {right: Fraction(1)}
+            terms = {right: 1}
         else:
             low = left & -left
             rest = left ^ low
-            i = low.bit_length()
-            terms = _apply_generator(i, _pair_product(pairs, B, rest, right), B)
-            for bits, c in _vector_contract(i, {rest: Fraction(1)}, B).items():
-                add_scaled(terms, _pair_product(pairs, B, bits, right), -c)
+            below = low - 1
+            row = rows[low.bit_length() - 1]
+            acc = {}
+            for bits, c in _pair_product(pairs, rows, rest, right).items():
+                # L_i: the contraction e_i⌋B̃ and the wedge e_i∧
+                for bit, under, b in row:
+                    if bits & bit:
+                        t = bits ^ bit
+                        x = c * b
+                        acc[t] = acc.get(t, 0) + (-x if (bits & under).bit_count() & 1 else x)
+                if not bits & low:
+                    t = bits | low
+                    acc[t] = acc.get(t, 0) + (-c if (bits & below).bit_count() & 1 else c)
+            for bit, under, b in row:
+                if rest & bit:
+                    f = b if (rest & under).bit_count() & 1 else -b
+                    for t, c in _pair_product(pairs, rows, rest ^ bit, right).items():
+                        acc[t] = acc.get(t, 0) + f * c
+            terms = {t: c for t, c in acc.items() if c}
         pairs[key] = terms
     return terms
+
+
+def _integer_terms(terms: dict, powers: list, n: int):
+    """(L, {I: L·u_I·d^(n−|I|)}) for u's terms, L their common denominator."""
+    den = lcm(*map(_denominator, terms.values()))
+    out = {}
+    for bits, c in terms.items():
+        scale = powers[n - bits.bit_count()]
+        if c.__class__ is GaussianRational:
+            re, im = c.re, c.im
+            out[bits] = GaussianInteger(re.numerator * (den // re.denominator) * scale,
+                                        im.numerator * (den // im.denominator) * scale)
+        else:
+            out[bits] = c.numerator * (den // c.denominator) * scale
+    return den, out
 
 
 def clifford_product(u: Multivector, v: Multivector) -> Multivector:
     """Associative unital product with x·x = Q(x)·1 for every vector x."""
     u.ctx.require_compatible(v.ctx)
     ctx = u.ctx
+    n = ctx.dim
+    rows, powers = _integer_form(ctx)
     pairs = ctx.cached("pairs", dict)
+    den_u, iu = _integer_terms(u.terms, powers, n)
+    den_v, iv = _integer_terms(v.terms, powers, n)
     acc = {}
-    for bu, cu in u.terms.items():
-        for bv, cv in v.terms.items():
-            add_scaled(acc, _pair_product(pairs, ctx.B, bu, bv), cu * cv)
-    return Multivector(ctx, acc)
+    for bu, cu in iu.items():
+        for bv, cv in iv.items():
+            c = cu * cv
+            for bits, p in _pair_product(pairs, rows, bu, bv).items():
+                acc[bits] = acc.get(bits, 0) + c * p
+    den = den_u * den_v * powers[2 * n]
+    out = {}
+    for bits, a in acc.items():
+        if a:
+            scale = powers[bits.bit_count()]
+            if a.__class__ is int:
+                out[bits] = Fraction(a * scale, den)
+            else:
+                out[bits] = gaussian(Fraction(a.re * scale, den), Fraction(a.im * scale, den))
+    return Multivector(ctx, out)
 
 
 @dataclass

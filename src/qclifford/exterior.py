@@ -48,11 +48,14 @@ def add_scaled(acc: dict, terms: dict, factor=1) -> dict:
     dropped. Returns acc."""
     scaled = factor != 1
     for bits, coeff in terms.items():
-        new = acc.get(bits, Fraction(0)) + (coeff * factor if scaled else coeff)
-        if new == 0:
-            acc.pop(bits, None)
-        else:
+        old = acc.get(bits)
+        new = coeff * factor if scaled else coeff
+        if old is not None:
+            new = old + new
+        if new:
             acc[bits] = new
+        elif old is not None:
+            del acc[bits]
     return acc
 
 
@@ -221,11 +224,13 @@ def wedge(u: Multivector, v: Multivector) -> Multivector:
                 continue
             bits = bu | bv
             coeff = cu * cv if sign > 0 else -(cu * cv)
-            new = terms.get(bits, Fraction(0)) + coeff
-            if new == 0:
-                terms.pop(bits, None)
-            else:
-                terms[bits] = new
+            old = terms.get(bits)
+            if old is not None:
+                coeff = old + coeff
+            if coeff:
+                terms[bits] = coeff
+            elif old is not None:
+                del terms[bits]
     return Multivector(u.ctx, terms)
 
 
@@ -268,11 +273,13 @@ def _vector_contract(i: int, u_terms: dict, matrix) -> dict:
             if base != 0:
                 contrib = coeff * base if position_sign > 0 else -(coeff * base)
                 target = bits ^ low
-                new = out.get(target, Fraction(0)) + contrib
-                if new == 0:
-                    out.pop(target, None)
-                else:
-                    out[target] = new
+                old = out.get(target)
+                if old is not None:
+                    contrib = old + contrib
+                if contrib:
+                    out[target] = contrib
+                elif old is not None:
+                    del out[target]
             position_sign = -position_sign
             rest ^= low
     return out

@@ -40,11 +40,13 @@ class FormContext:
     """An algebra context: dimension n, the bilinear form B, and its exact
     symmetric/antisymmetric split g, A.
 
-    The context also owns the per-algebra caches (blade-pair products,
-    monomial and dotted-basis tables, the symmetric context), all behind
-    ``cached``. They fill lazily and are never evicted; the pair products
-    grow with every new blade pair. Contexts may be shared between threads:
-    concurrent fills may compute an entry twice, but store equal values.
+    The context also owns the per-algebra caches (the integer form d²·B,
+    blade-pair products, monomial and dotted-basis tables, the symmetric
+    context), all behind ``cached``. They fill lazily and are never evicted;
+    the pair products grow with every new blade pair. The pair cache holds
+    integer terms, scaled by powers of d as the ``clifford`` module states.
+    Contexts may be shared between threads: concurrent fills may compute an
+    entry twice, but store equal values.
     """
 
     def __init__(self, B, ring: str = RING_RATIONAL):

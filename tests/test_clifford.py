@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qclifford import (ComputationError, ShapeError, clifford_apply_generator,
-                       clifford_product, contract_left, gaussian, inverse,
-                       monomial_table, quadratic, regular_representation,
-                       split_form, verify_generator_relations, wedge)
+from qclifford import (ComputationError, GaussianRational, Multivector, ShapeError,
+                       clifford_apply_generator, clifford_product, contract_left,
+                       gaussian, inverse, monomial_table, quadratic,
+                       regular_representation, split_form,
+                       verify_generator_relations, wedge)
 from qclifford import clifford, linalg
-from qclifford.exterior import blade_grade
+from qclifford.exterior import blade_grade, blade_indices
 
 from conftest import (oracle_blade_product, rand_form, rand_fraction,
                       rand_multivector, rand_vector, terms_from_blades)
@@ -203,3 +204,106 @@ def test_inverse():
     f = c.parse("1/2 + 1/2*e1")
     with pytest.raises(ComputationError):
         inverse(f)  # proper idempotents are zero divisors
+
+
+# -- the integer kernel's scaling, against the Rota–Stein closed form ---------
+
+
+def oracle_product(ctx, u, v):
+    pairs = []
+    for bu, cu in u.terms.items():
+        for bv, cv in v.terms.items():
+            pairs += [(cu * cv * c, blade) for c, blade in
+                      oracle_blade_product(ctx.B, tuple(blade_indices(bu)),
+                                           tuple(blade_indices(bv)))]
+    return terms_from_blades(ctx, pairs)
+
+
+def assert_exact_scalars(mv):
+    # never a bare int or a kernel integer, never a Gaussian with im = 0
+    for c in mv.terms.values():
+        assert type(c) is Fraction or (type(c) is GaussianRational and c.im != 0), c
+
+
+def gaussian_multivector(rng, ctx, terms=4):
+    return Multivector.from_terms(ctx, {
+        rng.randrange(1 << ctx.dim): gaussian(rand_fraction(rng), rand_fraction(rng))
+        for _ in range(terms)})
+
+
+def check_products(ctx, operands):
+    for u, v in operands:
+        got = clifford_product(u, v)
+        assert got == oracle_product(ctx, u, v)
+        assert_exact_scalars(got)
+
+
+def test_kernel_with_coprime_denominators():
+    rng = random.Random(51)
+    dens = (7, 11, 13)
+    n = 4
+    B = [[Fraction(rng.randint(-20, 20), dens[(i + j) % 3]) for j in range(n)]
+         for i in range(n)]
+    ctx = split_form(B)
+    check_products(ctx, [(rand_multivector(rng, ctx, 6), rand_multivector(rng, ctx, 6))
+                         for _ in range(10)])
+
+
+@pytest.mark.parametrize("span", [0, 3])
+def test_kernel_with_integral_and_zero_form(span):
+    rng = random.Random(52)
+    n = 4
+    ctx = split_form([[rng.randint(-span, span) for _ in range(n)] for _ in range(n)])
+    check_products(ctx, [(rand_multivector(rng, ctx, 6), rand_multivector(rng, ctx, 6))
+                         for _ in range(10)])
+    if span == 0:
+        e1, e2 = ctx.e(1), ctx.e(2)
+        assert (e1 * e2).terms == {3: 1} and (e1 * e1).terms == {}
+
+
+def test_kernel_with_denominator_only_in_an_imaginary_part():
+    rng = random.Random(53)
+    n = 3
+    B = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    B[0][2] = gaussian(2, Fraction(1, 3))
+    B[2][1] = gaussian(0, -5)
+    ctx = split_form(B, ring="Q(i)")
+    check_products(ctx, [(rand_multivector(rng, ctx, 5), gaussian_multivector(rng, ctx, 5))
+                         for _ in range(10)])
+    check_products(ctx, [(ctx.blade(I), ctx.blade(J)) for I in range(1 << n)
+                         for J in range(1 << n)])
+
+
+def test_kernel_real_form_gaussian_operands():
+    # the car2 path: ring Q(i), real B, Gaussian coefficients in the operands
+    rng = random.Random(54)
+    ctx = rand_form(rng, 4, ring="Q(i)")
+    check_products(ctx, [(gaussian_multivector(rng, ctx, 5), gaussian_multivector(rng, ctx, 5))
+                         for _ in range(10)])
+    i = ctx.scalar(gaussian(0, 1))
+    assert (i * i).terms == {0: Fraction(-1)}
+    assert_exact_scalars(i * i)
+
+
+def test_kernel_idempotent_times_complement_stores_no_term():
+    c = split_form([[Fraction(1, 9), Fraction(2, 7)], [Fraction(-3, 5), Fraction(1, 4)]])
+    g = split_form([[1, 0], [0, -1]])
+    # (3·e1)² = 9·B_11 = 1 in c, so (1 + 3·e1)/2 is idempotent
+    for ctx, f in ((c, c.parse("1/2 + 3/2*e1")),
+                   (g, g.parse("1/2 + 2/5*e1 + 3/10*e1^e2"))):
+        assert f * f == f
+        assert (f * (ctx.one() - f)).terms == {}
+        assert ((ctx.one() - f) * f).terms == {}
+
+
+def test_kernel_sparse_product_at_n12():
+    rng = random.Random(55)
+    n = 12
+    ctx = rand_form(rng, n)
+
+    def sparse():
+        return Multivector.from_terms(ctx, {
+            sum(1 << i for i in rng.sample(range(n), rng.randint(0, 4))): rand_fraction(rng)
+            for _ in range(4)})
+
+    check_products(ctx, [(sparse(), sparse()) for _ in range(4)])

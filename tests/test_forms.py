@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qclifford import (ComputationError, DegenerateFormError, Multivector,
-                       ShapeError, bivector_from_antisym, contract_left, quadratic,
-                       signature, split_form, wedge)
+                       ShapeError, bivector_from_antisym, contract_left, gaussian,
+                       quadratic, signature, split_form, wedge)
 from qclifford import linalg
 
 from conftest import rand_fraction, rand_form, rand_multivector, rand_vector
@@ -161,16 +161,21 @@ def test_gaussian_ring_signature_rejected_when_complex():
         signature(ctx)
 
 
-def test_shared_context_fills_caches_consistently_across_threads():
+@pytest.mark.parametrize("ring", ["Q", "Q(i)"])
+def test_shared_context_fills_caches_consistently_across_threads(ring):
     # The docstring's claim: a context shared between threads fills its
     # caches lazily, and concurrent fills leave every result correct.
     rng = random.Random(41)
-    B = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
-    serial_ctx = split_form(B)
+    if ring == "Q":
+        B = [[rand_fraction(rng) for _ in range(5)] for _ in range(5)]
+    else:
+        B = [[gaussian(rand_fraction(rng), rand_fraction(rng)) for _ in range(5)]
+             for _ in range(5)]
+    serial_ctx = split_form(B, ring=ring)
     pairs = [(rand_multivector(rng, serial_ctx, terms=6),
               rand_multivector(rng, serial_ctx, terms=6)) for _ in range(8)]
     expected = [(u * v).terms for u, v in pairs]
-    shared = split_form(B)
+    shared = split_form(B, ring=ring)
     results = [None] * 4
 
     def work(k):
